@@ -16,9 +16,20 @@ The solver follows the central path with the HKM direction and a Mehrotra
 predictor-corrector step, fraction-to-boundary 0.98.  Iterates stay strictly
 inside the cones throughout.  The Schur complement over the row multipliers
 is ``N + U U^T`` with N diagonal (slack columns) and U of width
-``sum(m_b^2) + shared scalar columns``; it is solved either densely or, for
-large row counts, by block elimination of the slack-bearing rows through the
-Woodbury identity.  Both paths are exact and interchangeable.
+``sum(m_b^2) + shared scalar columns``; row k of U's block b is
+``vec(L_b^T A_{k,b} T_b)`` for the HKM factors ``X_b = L_b L_b^T`` and
+``S_b^-1 = T_b T_b^T``.  The system is solved either densely or, for large
+row counts, by block elimination of the slack-bearing rows through the
+Woodbury identity; both paths are exact and interchangeable.
+
+The Woodbury path never forms U.  The row vectors u_k, v_k are drawn from a
+small dictionary of distinct atoms (the frame's columns, plus the unit
+vectors when eigenvalue bounds add coupling rows), so each row is a pair of
+atom indices.  Products with U and U^T reduce to an n x n gather and scatter
+over the atoms, and the core ``I + U_d^T N_d^-1 U_d`` to two Khatri-Rao
+products of ``atoms L`` and ``atoms T`` weighted by the n x n matrix of pair
+weights: O(n m^4 + n^2 m^2) work instead of O(k m^4) for k rows.  Only the
+few undamped (free) rows are materialised.
 
 Two-sided eigenvalue bounds are carried as extra PSD slack blocks
 ``W1 = t1 I - X`` and ``W2 = X - t2 I`` tied to X by internal coupling rows.
@@ -71,8 +82,8 @@ class ConicProblem:
     of each row (all-zero rows are fine); ``row_q`` the coefficient on q;
     ``slack_rows``/``slack_coefs`` place each exclusive slack; ``extras`` are
     shared nonnegative columns with zero objective.  ``diag_rows``,
-    ``pair_pos_rows``, ``pair_neg_rows`` and ``pair_index`` are optional row
-    labels used for dual bookkeeping and KKT reporting.
+    ``pair_pos_rows`` and ``pair_neg_rows`` are optional row labels used for
+    dual bookkeeping and KKT reporting.
     """
 
     psd_dim: int
@@ -89,7 +100,6 @@ class ConicProblem:
     diag_rows: np.ndarray = None
     pair_pos_rows: np.ndarray = None
     pair_neg_rows: np.ndarray = None
-    pair_index: np.ndarray = None
     primal_start: dict = None
     dual_start: dict = None
 
@@ -172,6 +182,8 @@ class ConicSolution:
     gap_history: list = field(default_factory=list)
     bound_info: dict = field(default_factory=dict)
     dropped_rows: np.ndarray = None
+    kkt_fallbacks: int = 0      # Woodbury factors replaced by a dense factor
+    kkt_ridges: int = 0         # factorizations that needed a diagonal ridge
 
 
 @dataclass(frozen=True)
@@ -190,12 +202,6 @@ class KKTResiduals:
 def _apply_rows_psd(u, v, alpha, x_mat):
     """alpha_k * u_k^T X v_k for all rows."""
     return alpha * np.einsum("km,km->k", u @ x_mat, v)
-
-
-def _adjoint_psd(u, v, weights):
-    """sum_k weights_k alpha_k (u_k v_k^T + v_k u_k^T)/2 given weights = y * alpha."""
-    m = 0.5 * (u * weights[:, None]).T @ v
-    return m + m.T
 
 
 def _scaled_rows(u, v, alpha, left, right):
@@ -265,30 +271,48 @@ class _Layout:
             self.n_couple = 0
         self.k_total = k_user + 2 * self.n_couple
 
-        # rank-two coefficients of the X block over all rows
-        if m > 0:
+        # rank-two coefficients of the X block over all rows, each row a pair
+        # (iu_k, iv_k) of indices into a dictionary of distinct atom vectors
+        if self.matrix_mode:
             u = np.zeros((self.k_total, m))
             v = np.zeros((self.k_total, m))
             a = np.zeros(self.k_total)
             u[:k_user] = prob.row_u
             v[:k_user] = prob.row_v
             a[:k_user] = prob.row_alpha
+            # coupling rows carry alpha = 1 on X and +1 / -1 on W1 / W2
+            self.block_alpha = [a]
             if self.bounds is not None:
                 rows1 = k_user + np.arange(self.n_couple)
                 rows2 = rows1 + self.n_couple
-                for rows in (rows1, rows2):
+                for rows, sign in ((rows1, 1.0), (rows2, -1.0)):
                     u[rows, self.tri_r] = 1.0
                     v[rows, self.tri_c] = 1.0
                     a[rows] = 1.0
+                    a_w = np.zeros(self.k_total)
+                    a_w[rows] = sign
+                    self.block_alpha.append(a_w)
                 self.rows1, self.rows2 = rows1, rows2
-            self.xu, self.xv, self.xa = u, v, a
+            self.atoms, inverse = np.unique(np.vstack([u, v]), axis=0, return_inverse=True)
+            inverse = inverse.reshape(-1)
+            self.iu, self.iv = inverse[: self.k_total], inverse[self.k_total :]
+            self.pair_flat = self.iu * len(self.atoms) + self.iv
+            self.xa = a
 
         # scalar coefficient columns, padded to k_total
         pad = self.k_total - k_user
         self.qcol = np.concatenate([prob.row_q, np.zeros(pad)])
         self.ext = np.vstack([prob.extras, np.zeros((pad, self.n_extra))]) if self.n_extra else np.zeros((self.k_total, 0))
+        sig = np.zeros((self.k_total, self.n_sigma))
         if self.diag_mode:
             self.sig_cols = prob.row_alpha[:, None] * prob.row_u * prob.row_v  # (k_user, m)
+            sig[:k_user] = self.sig_cols
+        # the scalar columns shared by all rows (q, diagonal X, extras) in the
+        # Schur factor's column order, and their positions in the scalar vector
+        self.shared = np.hstack([self.qcol[:, None], sig, self.ext])
+        self.shared_idx = np.concatenate(
+            [[self.q_pos], np.arange(self.n_sigma), np.arange(self.ex_off, self.n_lin)]
+        )
 
         self.b_full = np.concatenate([prob.rhs, np.zeros(pad)])
         if self.bounds is not None:
@@ -301,14 +325,17 @@ class _Layout:
         self.c_lin[self.q_pos] = 1.0
 
     # ---- constraint operator ------------------------------------------------
+    def apply_psd(self, mats):
+        """sum_b <A_{k,b}, mats[b]> for every row, given symmetric blocks."""
+        gram = self.atoms @ mats[0] @ self.atoms.T
+        out = self.xa * gram.ravel()[self.pair_flat]
+        if self.bounds is not None:
+            out[self.rows1] += mats[1][self.tri_r, self.tri_c]
+            out[self.rows2] -= mats[2][self.tri_r, self.tri_c]
+        return out
+
     def apply(self, x_psd, x_lin):
-        out = np.zeros(self.k_total)
-        if self.matrix_mode:
-            out += _apply_rows_psd(self.xu, self.xv, self.xa, x_psd[0])
-            if self.bounds is not None:
-                w1, w2 = x_psd[1], x_psd[2]
-                out[self.rows1] += w1[self.tri_r, self.tri_c]
-                out[self.rows2] -= w2[self.tri_r, self.tri_c]
+        out = self.apply_psd(x_psd) if self.matrix_mode else np.zeros(self.k_total)
         if self.diag_mode:
             out[: self.k_user] += self.sig_cols @ x_lin[: self.n_sigma]
         out += self.qcol * x_lin[self.q_pos]
@@ -331,7 +358,10 @@ class _Layout:
 
     def adjoint_psd(self, y):
         """Per-block sum_k y_k A_{k,b}."""
-        out = [_adjoint_psd(self.xu, self.xv, y * self.xa)]
+        n = len(self.atoms)
+        pair_w = np.bincount(self.pair_flat, weights=y * self.xa, minlength=n * n).reshape(n, n)
+        half = 0.5 * (self.atoms.T @ pair_w @ self.atoms)
+        out = [half + half.T]
         if self.bounds is not None:
             m = self.prob.psd_dim
             w1 = np.zeros((m, m))
@@ -345,38 +375,133 @@ class _Layout:
             out.extend([w1, w2])
         return out
 
-    def psd_row_data(self):
-        """(u, v, alpha) triples per PSD block, aligned to the full row set."""
-        if not self.matrix_mode:
-            return []
-        data = [(self.xu, self.xv, self.xa)]
-        if self.bounds is not None:
-            m = self.prob.psd_dim
-            for rows, sign in ((self.rows1, 1.0), (self.rows2, -1.0)):
-                u = np.zeros((self.k_total, m))
-                v = np.zeros((self.k_total, m))
-                a = np.zeros(self.k_total)
-                u[rows, self.tri_r] = 1.0
-                v[rows, self.tri_c] = 1.0
-                a[rows] = sign
-                data.append((u, v, a))
-        return data
-
 
 # --------------------------------------------------------------------------
 # KKT system
 # --------------------------------------------------------------------------
 
 
-class _KKTFactor:
-    """Factorization of H = diag(n_diag) + U U^T, dense or via block
-    elimination of the slack rows (Woodbury on the damped block)."""
+class _SchurRows:
+    """Rows ``sub`` of the Schur factor U at one iterate, as operators.
 
-    def __init__(self, n_diag, u_cols, mode):
+    Column block b (one per PSD block) holds ``vec(L_b^T A_{k,b} T_b)``;
+    products with it cost O(n^2 m + n m^2 + k) over the n atoms, and
+    ``rows`` materialises it only for the rows asked for.  The trailing
+    shared scalar columns, scaled by
+    ``sqrt(x / s)``, are kept explicitly (for the coherence SDP this is the
+    single q column; for linear programs they are all of U).
+    """
+
+    def __init__(self, lay: _Layout, chols, t_mats, scale, sub=None):
+        self.lay = lay
+        self.chols, self.t_mats = chols, t_mats
+        self.scale = scale
+        self.sub = np.arange(lay.k_total) if sub is None else sub
+        self.shared = lay.shared[self.sub] * scale
+        self.m = lay.prob.psd_dim
+        self.psd_width = len(chols) * self.m * self.m
+        self.width = self.psd_width + len(scale)
+
+    def restrict(self, sub):
+        """The operator for rows ``sub`` of U."""
+        return _SchurRows(self.lay, self.chols, self.t_mats, self.scale, sub)
+
+    def rows(self, idx):
+        """Explicit rows ``idx`` (positions within ``sub``)."""
+        lay = self.lay
+        cols = []
+        if lay.matrix_mode:
+            glob = self.sub[idx]
+            u, v = lay.atoms[lay.iu[glob]], lay.atoms[lay.iv[glob]]
+            cols = [
+                _scaled_rows(u, v, alpha[glob], left, right)
+                for alpha, left, right in zip(lay.block_alpha, self.chols, self.t_mats)
+            ]
+        cols.append(self.shared[idx])
+        return np.hstack(cols)
+
+    def _psd_rmatvec(self, z):
+        y = np.zeros(self.lay.k_total)
+        y[self.sub] = z
+        adj = self.lay.adjoint_psd(y)
+        return [(left.T @ a @ right).ravel() for left, right, a in zip(self.chols, self.t_mats, adj)]
+
+    def rmatvec(self, z):
+        """U_sub^T z."""
+        tail = self.shared.T @ z
+        if not self.lay.matrix_mode:
+            return tail
+        return np.concatenate(self._psd_rmatvec(z) + [tail])
+
+    def matvec(self, t):
+        """U_sub t."""
+        lay = self.lay
+        out = self.shared @ t[self.psd_width :]
+        if lay.matrix_mode:
+            m = self.m
+            blocks = t[: self.psd_width].reshape(-1, m, m)
+            out += lay.apply_psd(
+                [_sym(left @ blk @ right.T) for left, right, blk in zip(self.chols, self.t_mats, blocks)]
+            )[self.sub]
+        return out
+
+    def weighted_gram(self, b):
+        """U_sub^T diag(b) U_sub, for rows ``sub`` that exclude the coupling rows.
+
+        Coupling rows carry no slack, so they are never damped and the W1/W2
+        columns contribute nothing here.  For the X block, with A = atoms L
+        and B = atoms T, every row is ``alpha/2 (A_u (x) B_v + A_v (x) B_u)``;
+        summing the four outer products over the rows, grouped by atom pair
+        into the n x n weight matrix W, gives two Khatri-Rao products
+        ``P^T W Q`` (P = A.A, Q = B.B) and ``R^T W R`` (R = A.B), each equal to
+        the X block after a permutation of its four m-sized axes.
+        """
+        lay = self.lay
+        gram = np.zeros((self.width, self.width))
+        off = self.psd_width
+        weighted = self.shared * b[:, None]
+        gram[off:, off:] = weighted.T @ self.shared
+        if not lay.matrix_mode:
+            return gram
+        m, n = self.m, len(lay.atoms)
+        w_pair = 0.25 * b * lay.xa[self.sub] ** 2
+        pair_w = np.bincount(lay.pair_flat[self.sub], weights=w_pair, minlength=n * n).reshape(n, n)
+        pair_w += pair_w.T
+        a = lay.atoms @ self.chols[0]
+        bt = lay.atoms @ self.t_mats[0]
+        p = (a[:, :, None] * a[:, None, :]).reshape(n, m * m)
+        q = (bt[:, :, None] * bt[:, None, :]).reshape(n, m * m)
+        r = (a[:, :, None] * bt[:, None, :]).reshape(n, m * m)
+        g1 = (p.T @ (pair_w @ q)).reshape(m, m, m, m).transpose(0, 2, 1, 3)
+        g2 = (r.T @ (pair_w @ r)).reshape(m, m, m, m).transpose(0, 3, 2, 1)
+        gram[: m * m, : m * m] = (g1 + g2).reshape(m * m, m * m)
+        for j in range(weighted.shape[1]):
+            gram[:off, off + j] = np.concatenate(self._psd_rmatvec(weighted[:, j]))
+        gram[off:, :off] = gram[:off, off:].T
+        return gram
+
+
+class _KKTFactor:
+    """Factorization of H = diag(n_diag) + U U^T for U given as a
+    :class:`_SchurRows` operator.
+
+    Dense mode builds U explicitly and factors H.  Woodbury mode splits the
+    rows into free rows (diagonal weight at or near zero: the slack-free
+    rows, all coupling rows, and slack rows that are nearly active) and
+    damped rows B, factors the core ``I + U_B^T B^-1 U_B`` from its
+    Khatri-Rao form, and eliminates the free rows through their Schur
+    complement; only the free rows of U are ever materialised.  Solves are
+    polished by iterative refinement and, if that stalls, the factor is
+    replaced by the dense one (counted in ``fallbacks``).
+    """
+
+    def __init__(self, n_diag, op: _SchurRows, mode):
         self.n_diag = n_diag
-        self.u = u_cols
+        self.op = op
+        self.fallbacks = 0
+        self.ridges = 0
         k = len(n_diag)
-        width = u_cols.shape[1]
+        width = op.width
         # rows whose diagonal weight has collapsed (nearly active constraints)
         # are moved into the directly-factorized block: this keeps the
         # Woodbury core well scaled near convergence
@@ -397,50 +522,55 @@ class _KKTFactor:
             )
         self.mode = mode
         if mode == "dense":
-            h = u_cols @ u_cols.T
-            h[np.diag_indices_from(h)] += n_diag
-            self.fac = _chol_with_ridge(h)
+            self.fac = self._factor(self._dense())
         else:
-            ud = u_cols[self.damp]
-            uf = u_cols[self.free]
-            binv = 1.0 / n_diag[self.damp]
-            self.binv = binv
-            self.ud = ud
-            self.uf = uf
-            core = (ud * binv[:, None]).T @ ud
+            self.binv = 1.0 / n_diag[self.damp]
+            self.u_damp = op.restrict(self.damp)
+            core = self.u_damp.weighted_gram(self.binv)
             core[np.diag_indices_from(core)] += 1.0
-            self.core_fac = _chol_with_ridge(core)
+            self.core_fac = self._factor(core)
             if len(self.free):
-                mf = cho_solve(self.core_fac, uf.T)
-                sf = uf @ mf
+                self.uf = op.rows(self.free)
+                mf = cho_solve(self.core_fac, self.uf.T)
+                sf = self.uf @ mf
                 sf[np.diag_indices_from(sf)] += n_diag[self.free]
-                self.free_fac = _chol_with_ridge(sf)
+                self.free_fac = self._factor(sf)
+
+    def _factor(self, h):
+        fac, ridge = _chol_with_ridge(h)
+        self.ridges += ridge > 0.0
+        return fac
+
+    def _dense(self):
+        u = self.op.rows(np.arange(len(self.n_diag)))
+        h = u @ u.T
+        h[np.diag_indices_from(h)] += self.n_diag
+        return h
 
     def _solve_once(self, r):
         if self.mode == "dense":
             return cho_solve(self.fac, r)
         rf = r[self.free]
         rd = r[self.damp]
-        t = cho_solve(self.core_fac, self.ud.T @ (self.binv * rd))
+        t = cho_solve(self.core_fac, self.u_damp.rmatvec(self.binv * rd))
         out = np.empty_like(r)
         if len(self.free):
             lam_f = cho_solve(self.free_fac, rf - self.uf @ t)
-            g = rd - self.ud @ (self.uf.T @ lam_f)
+            g = rd - self.u_damp.matvec(self.uf.T @ lam_f)
             out[self.free] = lam_f
         else:
             g = rd
-        t2 = cho_solve(self.core_fac, self.ud.T @ (self.binv * g))
-        out[self.damp] = self.binv * (g - self.ud @ t2)
+        t2 = cho_solve(self.core_fac, self.u_damp.rmatvec(self.binv * g))
+        out[self.damp] = self.binv * (g - self.u_damp.matvec(t2))
         return out
 
     def apply(self, x):
-        return self.n_diag * x + self.u @ (self.u.T @ x)
+        return self.n_diag * x + self.op.matvec(self.op.rmatvec(x))
 
     def _densify(self):
-        h = self.u @ self.u.T
-        h[np.diag_indices_from(h)] += self.n_diag
-        self.fac = _chol_with_ridge(h)
+        self.fac = self._factor(self._dense())
         self.mode = "dense"
+        self.fallbacks += 1
 
     def solve(self, r):
         # iterative refinement keeps the Woodbury path accurate when slack
@@ -464,13 +594,19 @@ class _KKTFactor:
 
 
 def _chol_with_ridge(h):
+    """Cholesky factor of h, adding the smallest diagonal ridge that makes it
+    succeed; returns (factor, ridge)."""
     if not np.isfinite(h).all():
         raise np.linalg.LinAlgError("KKT system contains non-finite entries")
     scale = max(np.trace(h) / max(len(h), 1), 1e-300)
     ridge = 0.0
     for _ in range(12):
         try:
-            return cho_factor(h + ridge * np.eye(len(h)), lower=True)
+            if ridge == 0.0:
+                return cho_factor(h, lower=True), ridge
+            shifted = h.copy()
+            shifted[np.diag_indices_from(shifted)] += ridge
+            return cho_factor(shifted, lower=True, overwrite_a=True), ridge
         except (np.linalg.LinAlgError, ValueError):
             ridge = max(ridge * 100.0, 1e-14 * scale)
     raise np.linalg.LinAlgError("KKT system could not be factorized")
@@ -486,12 +622,17 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
     free = np.setdiff1d(np.arange(k), prob.slack_rows)
     if len(free) < 2:
         return prob, np.zeros(0, dtype=int)
-    # Gram matrix of the free rows in (svec(A), q, extras) coordinates
+    # Gram matrix of the free rows in (svec(A), q, extras) coordinates; a
+    # diagonal X sees only diag(A) = alpha u o v
     u, v, a = prob.row_u[free], prob.row_v[free], prob.row_alpha[free]
-    uu = u @ u.T
-    vv = v @ v.T
-    uv = u @ v.T
-    gram = 0.5 * np.outer(a, a) * (uu * vv + uv * uv.T)
+    if prob.diagonal:
+        sig = a[:, None] * u * v
+        gram = sig @ sig.T
+    else:
+        uu = u @ u.T
+        vv = v @ v.T
+        uv = u @ v.T
+        gram = 0.5 * np.outer(a, a) * (uu * vv + uv * uv.T)
     gram += np.outer(prob.row_q[free], prob.row_q[free])
     if prob.extra_count:
         gram += prob.extras[free] @ prob.extras[free].T
@@ -690,7 +831,7 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
     gap_history: list[float] = []
     status = SolverStatus.MAX_ITER
     iters = 0
-    psd_data = lay.psd_row_data()
+    fallbacks = ridges = 0
     best = None
     best_merit = np.inf
     best_basic = None
@@ -773,32 +914,20 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         n_diag = np.zeros(lay.k_total)
         if lay.n_slack:
             n_diag[prob.slack_rows] = prob.slack_coefs**2 * d_lin[lay.sl_off : lay.ex_off]
-        cols = [
-            _scaled_rows(u, v, a, chols[b], t_mats[b])
-            for b, (u, v, a) in enumerate(psd_data)
-        ]
-        shared = [lay.qcol[:, None] * np.sqrt(d_lin[lay.q_pos])]
-        if lay.diag_mode:
-            sig = np.zeros((lay.k_total, lay.n_sigma))
-            sig[: lay.k_user] = lay.sig_cols
-            shared.append(sig * np.sqrt(d_lin[: lay.n_sigma])[None, :])
-        if lay.n_extra:
-            shared.append(lay.ext * np.sqrt(d_lin[lay.ex_off :])[None, :])
-        u_cols = np.hstack(cols + shared) if cols or shared else np.zeros((lay.k_total, 0))
-
+        op = _SchurRows(lay, chols, t_mats, np.sqrt(d_lin[lay.shared_idx]))
         try:
-            kkt = _KKTFactor(n_diag, u_cols, settings.kkt_mode)
+            kkt = _KKTFactor(n_diag, op, settings.kkt_mode)
         except np.linalg.LinAlgError:
             status = SolverStatus.NUMERICAL_FAILURE
             break
 
         def direction(rc_psd, rc_lin):
             rhs = rp.copy()
-            gammas = []
-            for b, (u, v, a) in enumerate(psd_data):
-                gam = _sym(rc_psd[b] @ s_invs[b]) - _sym(x_psd[b] @ rd_psd[b] @ s_invs[b])
-                gammas.append(gam)
-                rhs -= _apply_rows_psd(u, v, a, gam)
+            if lay.matrix_mode:
+                rhs -= lay.apply_psd([
+                    _sym(rc_psd[b] @ s_invs[b]) - _sym(x_psd[b] @ rd_psd[b] @ s_invs[b])
+                    for b in range(len(x_psd))
+                ])
             w = (rc_lin - x_lin * rd_lin) / s_lin
             rhs -= _lin_columns_dot(lay, w)
             dy = kkt.solve(rhs)
@@ -840,6 +969,8 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         ]
         rc_lin = sigma * mu - x_lin * s_lin - dxl_a * dsl_a
         dx_psd, dx_lin, dy, ds_psd, ds_lin = direction(rc_psd, rc_lin)
+        fallbacks += kkt.fallbacks
+        ridges += kkt.ridges
 
         def max_steps(dxp, dxl, dsp, dsl):
             a_p = settings.step_fraction * min(
@@ -892,7 +1023,9 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
             status = SolverStatus.OPTIMAL
         elif best is not None:
             x_psd, x_lin, y, s_psd, s_lin = best
-    return _package(lay, x_psd, x_lin, y, s_psd, s_lin, status, iters, gap_history)
+    sol = _package(lay, x_psd, x_lin, y, s_psd, s_lin, status, iters, gap_history)
+    sol.kkt_fallbacks, sol.kkt_ridges = fallbacks, ridges
+    return sol
 
 
 def _lin_columns_dot(lay: _Layout, w):
@@ -987,7 +1120,6 @@ def _solve_pinned(problem: ConicProblem, settings: SolverSettings, t_pin: float)
         extras=problem.extras[keep],
         pair_pos_rows=remap[problem.pair_pos_rows] if problem.pair_pos_rows is not None else None,
         pair_neg_rows=remap[problem.pair_neg_rows] if problem.pair_neg_rows is not None else None,
-        pair_index=problem.pair_index,
     )
     sol = solve(sub, settings)
     y = np.zeros(problem.n_rows)

@@ -151,7 +151,6 @@ def build_c1(frame: Frame) -> conic.ConicProblem:
         diag_rows=np.arange(big_m),
         pair_pos_rows=np.arange(big_m, big_m + n_pairs),
         pair_neg_rows=np.arange(big_m + n_pairs, k),
-        pair_index=pairs,
         primal_start=primal,
         dual_start=dual,
     )

@@ -56,14 +56,22 @@ def test_criterion_01_welch_bound_column():
     print(f"ACCEPTANCE 1 PASS: Welch-bound column matches at 1e-4 ({elapsed * 1e3:.1f} ms)")
 
 
+@functools.lru_cache(maxsize=None)
+def _table_solves(m):
+    """(frame, solve_coherence result) on the coherence table's 20 seeded
+    m x 64 frames; criteria 2 and 7 read the same 24 x 64 solves."""
+    out = []
+    for trial in range(20):
+        seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, m, 0, trial).integers(2**63))
+        fr = frames.random_gaussian_frame(m, 64, seed)
+        out.append((fr, solve_coherence(fr, SET)))
+    return tuple(out)
+
+
 def test_criterion_02_coherence_improvement_table():
-    trials = 20
     for m, (mu_expect, mu_g_expect) in TABLE_COHERENCE.items():
         mus, mus_g = [], []
-        for trial in range(trials):
-            seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, m, 0, trial).integers(2**63))
-            fr = frames.random_gaussian_frame(m, 64, seed)
-            result = solve_coherence(fr, SET)
+        for fr, result in _table_solves(m):
             assert result.solution.status == conic.SolverStatus.OPTIMAL
             mus.append(result.coherence_before)
             mus_g.append(result.verified_coherence)
@@ -149,12 +157,10 @@ def test_criterion_06_kkt_residuals_at_optimum():
 
 
 @functools.lru_cache(maxsize=None)
-def _tight_pipeline_means(trials=20, m=24, big=64):
+def _tight_pipeline_means(m=24):
+    big = 64
     mus_tight = []
-    for trial in range(trials):
-        seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, m, 0, trial).integers(2**63))
-        fr = frames.random_gaussian_frame(m, big, seed)
-        result = solve_coherence(fr, SET)
+    for fr, result in _table_solves(m):
         g1, tight = compose_tight_preconditioner(result.G, fr)
         defect = np.linalg.norm(tight.matrix @ tight.matrix.T - (big / m) * np.eye(m))
         assert defect <= 1e-7

@@ -1,10 +1,31 @@
 import numpy as np
 import pytest
 
-from framecond import conic, frames
+from framecond import conic, experiments, frames
 from framecond.precondition import build_c1, build_c2
 
 TIGHT = conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8)
+
+
+def seeded_frame(m, n_vectors=64):
+    seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, m, 0, 0).integers(2**63))
+    return frames.random_gaussian_frame(m, n_vectors, seed)
+
+
+def schur_rows_at(prob, iters):
+    """The Schur operator at the iterate a solve capped at ``iters`` returns."""
+    sol = conic.solve(prob, conic.SolverSettings(max_iter=iters))
+    lay = conic._Layout(prob)
+    xs, ss = [sol.X], [sol.dual_psd]
+    if prob.eig_bounds is not None:
+        info = sol.bound_info
+        xs += [info["upper_slack"], info["lower_slack"]]
+        ss += [info["upper_dual"], info["lower_dual"]]
+    chols = [np.linalg.cholesky(x) for x in xs]
+    t_mats = [np.linalg.inv(np.linalg.cholesky(s)).T for s in ss]
+    x_lin = np.concatenate([[sol.q], sol.slacks, sol.extras])
+    s_lin = np.concatenate([[sol.q_dual], sol.slack_duals, sol.extra_duals])
+    return conic._SchurRows(lay, chols, t_mats, np.sqrt((x_lin / s_lin)[lay.shared_idx]))
 
 
 def coherence_of(mat):
@@ -119,17 +140,84 @@ class TestKKTModes:
         assert np.abs(dense.X - wood.X).max() <= 1e-5
 
     def test_factor_solves_linear_system(self):
+        # 10 unit-norm rows, independent in the 15-dimensional space of X
+        prob = build_c1(frames.random_gaussian_frame(5, 10, 0))
+        op = schur_rows_at(prob, 3)
+        k = prob.n_rows
         rng = np.random.default_rng(0)
-        k, width = 60, 12
-        u = rng.standard_normal((k, width))
         n = np.zeros(k)
-        n[10:] = rng.uniform(1e-8, 5.0, size=50)
+        n[10:] = rng.uniform(1e-8, 5.0, size=k - 10)   # unit-norm rows stay free
+        u = op.rows(np.arange(k))
         h = u @ u.T + np.diag(n)
         r = rng.standard_normal(k)
         expect = np.linalg.solve(h, r)
         for mode in ("dense", "woodbury"):
-            got = conic._KKTFactor(n, u, mode).solve(r)
+            kkt = conic._KKTFactor(n, op, mode)
+            got = kkt.solve(r)
             assert np.abs(got - expect).max() <= 1e-8 * np.abs(expect).max()
+            assert (kkt.fallbacks, kkt.ridges) == (0, 0)
+
+    def test_singular_system_counts_ridge(self):
+        # without slack weights H = U U^T has rank at most width < k
+        op = schur_rows_at(build_c1(frames.random_gaussian_frame(5, 10, 0)), 3)
+        kkt = conic._KKTFactor(np.zeros(op.lay.k_total), op, "dense")
+        assert kkt.ridges == 1
+
+
+def explicit_schur_rows(prob, op):
+    """U built row by row from the problem data with _scaled_rows, sharing
+    no atom bookkeeping with the structured operators."""
+    m = prob.psd_dim
+    u, v, alpha = prob.row_u, prob.row_v, prob.row_alpha
+    blocks = [(u, v, alpha)]
+    if prob.eig_bounds is not None:
+        tri_r, tri_c = np.triu_indices(m)
+        eye = np.eye(m)
+        cu, cv = eye[tri_r], eye[tri_c]
+        zero_u, zero_a = np.zeros_like(u), np.zeros_like(alpha)
+        zero_c, one_c = np.zeros(len(tri_r)), np.ones(len(tri_r))
+        blocks = [
+            (np.vstack([u, cu, cu]), np.vstack([v, cv, cv]), np.r_[alpha, one_c, one_c]),
+            (np.vstack([zero_u, cu, cu]), np.vstack([zero_u, cv, cv]), np.r_[zero_a, one_c, zero_c]),
+            (np.vstack([zero_u, cu, cu]), np.vstack([zero_u, cv, cv]), np.r_[zero_a, zero_c, -one_c]),
+        ]
+    cols = [
+        conic._scaled_rows(bu, bv, ba, left, right)
+        for (bu, bv, ba), left, right in zip(blocks, op.chols, op.t_mats)
+    ]
+    return np.hstack(cols + [op.lay.shared * op.scale])
+
+
+class TestStructuredSchur:
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            pytest.param(lambda: build_c1(seeded_frame(24)), id="c1-24x64"),
+            pytest.param(lambda: build_c2(seeded_frame(12), 2.0, 0.5), id="c2-12x64"),
+        ],
+    )
+    def test_operators_match_explicit_rows(self, prob):
+        prob = prob()
+        op = schur_rows_at(prob, 6)
+        u = explicit_schur_rows(prob, op)
+        k = len(u)
+        assert u.shape == (k, op.width)
+        rng = np.random.default_rng(7)
+        damp = prob.slack_rows                      # the rows a Woodbury core weighs
+        u_damp = op.restrict(damp)
+        weights = rng.uniform(0.0, 3.0, len(damp))
+        t = rng.standard_normal(op.width)
+        y = rng.standard_normal(k)
+
+        def rel(got, ref):
+            return np.abs(got - ref).max() / np.abs(ref).max()
+
+        assert rel(u_damp.weighted_gram(weights), u[damp].T @ (weights[:, None] * u[damp])) <= 1e-12
+        assert rel(op.matvec(t), u @ t) <= 1e-12
+        assert rel(op.rmatvec(y), u.T @ y) <= 1e-12
+        assert rel(u_damp.matvec(t), u[damp] @ t) <= 1e-12
+        assert rel(u_damp.rmatvec(y[damp]), u[damp].T @ y[damp]) <= 1e-12
+        assert rel(op.rows(np.arange(k)), u) <= 1e-12
 
 
 class TestKKTResiduals:

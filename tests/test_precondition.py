@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framecond import conic, frames, precondition as pc
+from framecond import conic, experiments, frames, precondition as pc
 from framecond.numerics import NotPositiveDefinite, RankDeficient
 
 SET8 = conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8)
@@ -106,6 +106,34 @@ class TestDiagonalLP:
     def test_scaling_stays_positive(self, sign_pattern_frame):
         res = pc.diagonal_lp(sign_pattern_frame, SET8)
         assert (np.diag(res.X) > 0).all()
+
+    def test_presolve_drops_unit_norm_rows_seen_by_diagonal(self):
+        # a diagonal X sees only the squared columns, which span R^12: 52 of
+        # the 64 unit-norm rows are implied and go, so the Woodbury path has
+        # a nonsingular free block and needs no dense fallback
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, 12, 0, 0).integers(2**63))
+        fr = frames.random_gaussian_frame(12, 64, seed)
+        with pytest.warns(RuntimeWarning, match="dropping 52 linearly dependent"):
+            res = pc.diagonal_lp(fr, conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8))
+        sol = res.solution
+        assert sol.status == conic.SolverStatus.OPTIMAL
+        assert len(sol.dropped_rows) == 52 and sol.kkt_fallbacks == 0
+        phi = fr.matrix
+        iu, ju = np.triu_indices(64, k=1)
+        pair = (phi[:, iu] * phi[:, ju]).T
+        ones = np.ones((len(iu), 1))
+        ref = linprog(
+            np.r_[np.zeros(12), 1.0],
+            A_ub=np.vstack([np.hstack([pair, -ones]), np.hstack([-pair, -ones])]),
+            b_ub=np.zeros(2 * len(iu)),
+            A_eq=np.hstack([(phi**2).T, np.zeros((64, 1))]),
+            b_eq=np.ones(64),
+            bounds=[(0, None)] * 13,
+            method="highs",
+        )
+        assert ref.status == 0
+        assert res.q == pytest.approx(ref.fun, abs=1e-6)
 
 
 class TestSquaredSpan:
