@@ -260,7 +260,11 @@ def _cmd_tighten(args) -> int:
 
 def _cmd_certify(args) -> int:
     frame = _load_frame(args.matrix)
-    cert = precondition.certificate_feasibility(frame, tol=args.tol)
+    try:
+        cert = precondition.certificate_feasibility(frame, tol=args.tol)
+    except precondition.CertificateNotOptimal as exc:
+        print(f"error: certificate LP status {exc.status}", file=sys.stderr)
+        return 1
     if cert.feasible:
         print("feasible: no strict coherence improvement exists")
     else:

@@ -41,7 +41,6 @@ carry zero multipliers).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -531,7 +530,7 @@ class _KKTFactor:
             self.core_fac = self._factor(core)
             if len(self.free):
                 self.uf = op.rows(self.free)
-                mf = cho_solve(self.core_fac, self.uf.T)
+                mf = cho_solve(self.core_fac, self.uf.T, check_finite=False)
                 sf = self.uf @ mf
                 sf[np.diag_indices_from(sf)] += n_diag[self.free]
                 self.free_fac = self._factor(sf)
@@ -549,18 +548,18 @@ class _KKTFactor:
 
     def _solve_once(self, r):
         if self.mode == "dense":
-            return cho_solve(self.fac, r)
+            return cho_solve(self.fac, r, check_finite=False)
         rf = r[self.free]
         rd = r[self.damp]
-        t = cho_solve(self.core_fac, self.u_damp.rmatvec(self.binv * rd))
+        t = cho_solve(self.core_fac, self.u_damp.rmatvec(self.binv * rd), check_finite=False)
         out = np.empty_like(r)
         if len(self.free):
-            lam_f = cho_solve(self.free_fac, rf - self.uf @ t)
+            lam_f = cho_solve(self.free_fac, rf - self.uf @ t, check_finite=False)
             g = rd - self.u_damp.matvec(self.uf.T @ lam_f)
             out[self.free] = lam_f
         else:
             g = rd
-        t2 = cho_solve(self.core_fac, self.u_damp.rmatvec(self.binv * g))
+        t2 = cho_solve(self.core_fac, self.u_damp.rmatvec(self.binv * g), check_finite=False)
         out[self.damp] = self.binv * (g - self.u_damp.matvec(t2))
         return out
 
@@ -573,6 +572,10 @@ class _KKTFactor:
         self.fallbacks += 1
 
     def solve(self, r):
+        # the factors are checked when built, so one scan of r replaces
+        # scipy's check_finite rescans in every cho_solve
+        if not np.isfinite(r).all():
+            raise ValueError("KKT right-hand side contains NaN or Inf")
         # iterative refinement keeps the Woodbury path accurate when slack
         # weights span many orders of magnitude; fall back to a dense factor
         # only if refinement stalls outright
@@ -603,10 +606,10 @@ def _chol_with_ridge(h):
     for _ in range(12):
         try:
             if ridge == 0.0:
-                return cho_factor(h, lower=True), ridge
+                return cho_factor(h, lower=True, check_finite=False), ridge
             shifted = h.copy()
             shifted[np.diag_indices_from(shifted)] += ridge
-            return cho_factor(shifted, lower=True, overwrite_a=True), ridge
+            return cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False), ridge
         except (np.linalg.LinAlgError, ValueError):
             ridge = max(ridge * 100.0, 1e-14 * scale)
     raise np.linalg.LinAlgError("KKT system could not be factorized")
@@ -614,7 +617,8 @@ def _chol_with_ridge(h):
 
 def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndarray]:
     """Presolve: drop linearly dependent slack-free rows (e.g. duplicated
-    unit-norm constraints from parallel columns), warning on each drop.
+    unit-norm constraints from parallel columns); ``solve`` reports them in
+    ``ConicSolution.dropped_rows``.
 
     Slack-bearing rows own a private column and can never be dependent.
     """
@@ -640,11 +644,6 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
     if not len(drop_local):
         return prob, np.zeros(0, dtype=int)
     dropped = free[drop_local]
-    warnings.warn(
-        f"dropping {len(dropped)} linearly dependent constraint row(s): {dropped.tolist()}",
-        RuntimeWarning,
-        stacklevel=3,
-    )
     keep = np.setdiff1d(np.arange(k), dropped)
     remap = -np.ones(k, dtype=int)
     remap[keep] = np.arange(len(keep))

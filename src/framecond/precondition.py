@@ -9,7 +9,10 @@ G^T G = X is read off by Cholesky (``extract_preconditioner``).
 ``certificate_feasibility`` decides, through a small linear program, whether
 the identity is already optimal: the multiplier system over the active pairs
 is solvable exactly when no strict coherence decrease exists, so an
-infeasible system certifies that a better preconditioner is out there.
+infeasible system certifies that a better preconditioner is out there.  The
+program is solved in its dual form, with one row per column weight and per
+active pair (about 70 rows for an m x 64 frame); the solver's row
+multipliers are then the system's weights, read off as the witness.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .numerics import NotPositiveDefinite, RankDeficient, cholesky, svd
 __all__ = [
     "InvalidBounds",
     "NearSingularXWarning",
+    "CertificateNotOptimal",
     "PreconditionResult",
     "CertificateSystem",
     "build_c1",
@@ -52,6 +56,14 @@ class NearSingularXWarning(RuntimeWarning):
     """Optimal X sits on the PSD boundary; the factor was jittered."""
 
 
+class CertificateNotOptimal(RuntimeError):
+    """The certificate LP ended without reaching ``Optimal``."""
+
+    def __init__(self, status: str):
+        super().__init__(f"certificate LP did not converge (status {status})")
+        self.status = status
+
+
 @dataclass
 class PreconditionResult:
     X: np.ndarray
@@ -71,10 +83,13 @@ class PreconditionResult:
 class CertificateSystem:
     """Multiplier feasibility system over the active pairs at (I, mu).
 
-    Variables: one free scalar per column (unit-norm rows), one nonnegative
-    scalar per active pair; constraints: the weighted rank-one/rank-two sum
-    must vanish entrywise while the active-pair weights sum to one.  The
-    verdict key is the minimized maximum entry violation.
+    Unknowns: one free weight r_ii per column (unit-norm rows), one
+    nonnegative weight r_ij / r_ji per active pair; the weighted rank-one /
+    rank-two sum must vanish entrywise while the pair weights sum to one.
+    ``max_violation`` is the smallest achievable worst entry of that sum,
+    the optimum of the dual LP that ``certificate_feasibility`` solves (to
+    solver accuracy, so a feasible system can read a few 1e-10 below zero),
+    and ``witness`` holds the weights, taken from that LP's row multipliers.
     """
 
     active_pos: list
@@ -336,9 +351,20 @@ def certificate_feasibility(
 
     Feasible means the identity already attains the optimal coherence (no
     strict decrease exists); infeasible certifies that a strictly better
-    preconditioner exists.  The decision minimizes the worst entry violation
-    of the matrix equation subject to the pair weights summing to one, with
-    free column weights split into positive and negative parts.
+    preconditioner exists.  The verdict key is the smallest worst entry
+    violation nu* of the matrix equation with the pair weights summing to
+    one, found as the optimum of its LP dual: over lambda = lambda+ - lambda-
+    on the upper-triangle entries, with ||lambda||_1 = 1, maximize nu
+    subject to C^T lambda = 0 (one row per column weight) and
+    P^T lambda >= nu (one slack row per active pair).  The solver minimizes
+    q = c0 - nu with c0 = max|P| + 1, so q stays positive, and its row
+    multipliers are the primal weights: the witness (r_ii, r_ij, r_ji) is
+    y in row order.  Rows that presolve drops as dependent carry zero
+    weights, which the remaining rows make up for exactly.
+
+    Raises ``ValueError`` for an empty active set, where no pair weights can
+    sum to one, and :class:`CertificateNotOptimal` when the LP solve does not
+    reach ``Optimal``.
     """
     frame = _require_unit_norm(frame)
     mu = coherence(frame)
@@ -346,60 +372,58 @@ def certificate_feasibility(
         raise ZeroCoherence("orthonormal-type frame: no improvement question arises")
     if active_pos is None or active_neg is None:
         active_pos, active_neg = active_sets(frame, np.eye(frame.m), mu)
+    n_pos, n_active = len(active_pos), len(active_pos) + len(active_neg)
+    if n_active == 0:
+        raise ValueError("certificate needs at least one active pair")
     phi = frame.matrix
     m, big_m = phi.shape
-    n_pos, n_neg = len(active_pos), len(active_neg)
     tri_r, tri_c = np.triu_indices(m)
-    n_entries = len(tri_r)
+    phi_r, phi_c = phi[tri_r], phi[tri_c]
 
-    def entry_cols(mats):
-        return np.array([mat[tri_r, tri_c] for mat in mats]).T if mats else np.zeros((n_entries, 0))
+    # upper-triangle entries of phi_i phi_i^T (C) and of +/- sym(phi_i phi_j^T)
+    # over the active pairs (P), one column per weight
+    pairs = np.array(list(active_pos) + list(active_neg), dtype=int).reshape(-1, 2)
+    pi, pj = pairs[:, 0], pairs[:, 1]
+    sign = np.where(np.arange(n_active) < n_pos, 0.5, -0.5)
+    c_mat = phi_r * phi_c
+    p_mat = sign * (phi_r[:, pi] * phi_c[:, pj] + phi_r[:, pj] * phi_c[:, pi])
+    c0 = float(np.abs(p_mat).max()) + 1.0
 
-    diag_mats = [np.outer(phi[:, i], phi[:, i]) for i in range(big_m)]
-    pos_mats = [0.5 * (np.outer(phi[:, i], phi[:, j]) + np.outer(phi[:, j], phi[:, i])) for i, j in active_pos]
-    neg_mats = [0.5 * (np.outer(phi[:, i], phi[:, j]) + np.outer(phi[:, j], phi[:, i])) for i, j in active_neg]
-
-    # columns: a_i, b_i (split free weights), r_ij >= 0, r_ji >= 0
-    cols = np.hstack(
-        [entry_cols(diag_mats), -entry_cols(diag_mats), entry_cols(pos_mats), -entry_cols(neg_mats)]
-    )
-    n_vars = cols.shape[1]
-
-    # rows: entry <= t and entry >= -t with exclusive slacks, then the
-    # normalization row over the pair weights
-    k = 2 * n_entries + 1
-    extras = np.zeros((k, n_vars))
-    extras[:n_entries] = cols
-    extras[n_entries : 2 * n_entries] = -cols
-    extras[2 * n_entries, 2 * big_m :] = 1.0
-    q_col = np.zeros(k)
-    q_col[: 2 * n_entries] = -1.0
+    # rows: C^T lambda = 0, P^T lambda + q - s = c0, 1^T (lambda+ + lambda-) = 1
+    k = big_m + n_active + 1
+    lam = np.vstack([c_mat.T, p_mat.T])
+    extras = np.zeros((k, 2 * len(tri_r)))
+    extras[:-1] = np.hstack([lam, -lam])
+    extras[-1] = 1.0
+    pair_rows = np.arange(big_m, big_m + n_active)
     rhs = np.zeros(k)
-    rhs[2 * n_entries] = 1.0
+    rhs[pair_rows] = c0
+    rhs[-1] = 1.0
+    q_col = np.zeros(k)
+    q_col[pair_rows] = 1.0
 
     prob = conic.ConicProblem(
         psd_dim=0,
         rhs=rhs,
         row_q=q_col,
-        slack_rows=np.arange(2 * n_entries),
+        slack_rows=pair_rows,
+        slack_coefs=-np.ones(n_active),
         extras=extras,
     )
     if settings is None:
         settings = conic.SolverSettings(gap_tol=1e-9, feas_tol=1e-9, max_iter=300)
     sol = conic.solve(prob, settings)
     if sol.status != conic.SolverStatus.OPTIMAL:
-        sol = conic.solve(prob, conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8, max_iter=400))
-        if sol.status != conic.SolverStatus.OPTIMAL:
-            raise RuntimeError(f"certificate LP did not converge (status {sol.status})")
-    violation = float(sol.q)
+        raise CertificateNotOptimal(sol.status)
+    violation = c0 - float(sol.q)
     feasible = violation <= tol
     witness = None
     if feasible:
-        vals = sol.extras
+        y = sol.y
         witness = {
-            "r_ii": vals[:big_m] - vals[big_m : 2 * big_m],
-            "r_ij": vals[2 * big_m : 2 * big_m + n_pos],
-            "r_ji": vals[2 * big_m + n_pos :],
+            "r_ii": y[:big_m],
+            "r_ij": y[big_m : big_m + n_pos],
+            "r_ji": y[big_m + n_pos : big_m + n_active],
         }
     return CertificateSystem(
         active_pos=list(active_pos),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from framecond import cli, frames
+from framecond import cli, conic, frames
 
 
 def run(*argv):
@@ -175,6 +175,22 @@ class TestExitCodes:
         run("gen", "--m", "4", "--M", "10", "--seed", "4", "--out", str(phi))
         assert run("precondition", str(phi), "--max-iter", "1") == 1
         assert run("precondition", str(phi), "--max-iter", "1", "--allow-inexact") == 0
+
+    def test_certify_solver_failure_is_one(self, tmp_path, monkeypatch, capsys):
+        real_solve = conic.solve
+
+        def stalled(prob, settings=conic.SolverSettings()):
+            sol = real_solve(prob, settings)
+            sol.status = conic.SolverStatus.MAX_ITER
+            return sol
+
+        monkeypatch.setattr(conic, "solve", stalled)
+        path = tmp_path / "mb.mat"
+        cli.write_matrix(path, frames.mercedes_benz_frame().matrix)
+        assert run("certify", str(path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: certificate LP status MaxIter\n"
+        assert captured.out == ""
 
     def test_report_replay_config(self, tmp_path):
         phi = tmp_path / "phi.mat"

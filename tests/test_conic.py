@@ -123,8 +123,8 @@ class TestCoherenceProgram:
     def test_duplicate_column_rows_dropped(self):
         base = frames.random_gaussian_frame(3, 6, 5).matrix
         mat = np.hstack([base, base[:, :1]])   # exact duplicate column
-        with pytest.warns(RuntimeWarning, match="dependent"):
-            sol = conic.solve(build_c1(frames.Frame(mat)), TIGHT)
+        sol = conic.solve(build_c1(frames.Frame(mat)), TIGHT)
+        assert len(sol.dropped_rows) == 1
         assert sol.status == conic.SolverStatus.OPTIMAL
         assert sol.q == pytest.approx(1.0, abs=1e-6)
         assert len(sol.y) == build_c1(frames.Frame(mat)).n_rows
@@ -156,6 +156,10 @@ class TestKKTModes:
             got = kkt.solve(r)
             assert np.abs(got - expect).max() <= 1e-8 * np.abs(expect).max()
             assert (kkt.fallbacks, kkt.ridges) == (0, 0)
+            r_bad = r.copy()
+            r_bad[0] = np.nan
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                kkt.solve(r_bad)
 
     def test_singular_system_counts_ridge(self):
         # without slack weights H = U U^T has rank at most width < k

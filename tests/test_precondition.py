@@ -114,8 +114,7 @@ class TestDiagonalLP:
         linprog = pytest.importorskip("scipy.optimize").linprog
         seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, 12, 0, 0).integers(2**63))
         fr = frames.random_gaussian_frame(12, 64, seed)
-        with pytest.warns(RuntimeWarning, match="dropping 52 linearly dependent"):
-            res = pc.diagonal_lp(fr, conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8))
+        res = pc.diagonal_lp(fr, conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8))
         sol = res.solution
         assert sol.status == conic.SolverStatus.OPTIMAL
         assert len(sol.dropped_rows) == 52 and sol.kkt_fallbacks == 0
@@ -267,6 +266,34 @@ class TestActiveSets:
             pc.active_sets(mercedes_benz, np.eye(2), 0.0)
 
 
+def _highs_certificate(linprog, phi, pos, neg):
+    """The certificate's primal LP, min t over free column weights a and pair
+    weights r >= 0 summing to one with |sum a C + sum r P| <= t entrywise,
+    restated from its definition and solved by HiGHS."""
+    m, big_m = phi.shape
+    tri = np.triu_indices(m)
+
+    def entries(i, j):
+        return (0.5 * (np.outer(phi[:, i], phi[:, j]) + np.outer(phi[:, j], phi[:, i])))[tri]
+
+    cols = np.column_stack(
+        [entries(i, i) for i in range(big_m)]
+        + [entries(i, j) for i, j in pos]
+        + [-entries(i, j) for i, j in neg]
+    )
+    n_r = len(pos) + len(neg)
+    t_col = -np.ones((len(tri[0]), 1))
+    a_ub = np.vstack([np.hstack([cols, t_col]), np.hstack([-cols, t_col])])
+    a_eq = np.zeros((1, big_m + n_r + 1))
+    a_eq[0, big_m : big_m + n_r] = 1.0
+    c = np.zeros(big_m + n_r + 1)
+    c[-1] = 1.0
+    ref = linprog(c, A_ub=a_ub, b_ub=np.zeros(len(a_ub)), A_eq=a_eq, b_eq=[1.0],
+                  bounds=[(None, None)] * big_m + [(0, None)] * (n_r + 1), method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
 class TestCertificate:
     def test_mercedes_benz_feasible(self, mercedes_benz):
         cert = pc.certificate_feasibility(mercedes_benz)
@@ -310,26 +337,39 @@ class TestCertificate:
         for seed in (3, 8, 21):
             fr = frames.random_gaussian_frame(3, 6, seed)
             cert = pc.certificate_feasibility(fr)
-            phi = fr.matrix
-            tri = np.triu_indices(3)
-            diag_cols = np.array([np.outer(phi[:, k], phi[:, k])[tri] for k in range(6)]).T
-            pair_cols = []
-            for sgn, pairs in ((1.0, cert.active_pos), (-1.0, cert.active_neg)):
-                for (i, j) in pairs:
-                    mat = 0.5 * (np.outer(phi[:, i], phi[:, j]) + np.outer(phi[:, j], phi[:, i]))
-                    pair_cols.append(sgn * mat[tri])
-            cols = np.hstack([diag_cols, -diag_cols, np.array(pair_cols).T])
-            n = cols.shape[1]
-            n_pairs = len(pair_cols)
-            a_ub = np.vstack([np.hstack([cols, -np.ones((len(tri[0]), 1))]),
-                              np.hstack([-cols, -np.ones((len(tri[0]), 1))])])
-            a_eq = np.zeros((1, n + 1))
-            a_eq[0, n - n_pairs : n] = 1.0
-            c = np.zeros(n + 1)
-            c[-1] = 1.0
-            ref = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * len(tri[0])), A_eq=a_eq,
-                          b_eq=[1.0], bounds=[(0, None)] * (n + 1), method="highs")
-            assert cert.max_violation == pytest.approx(ref.fun, abs=1e-6)
+            ref = _highs_certificate(linprog, fr.matrix, cert.active_pos, cert.active_neg)
+            assert cert.max_violation == pytest.approx(ref, abs=1e-6)
+
+    @pytest.mark.parametrize("m, trial", [(8, 0), (12, 0), (12, 1), (30, 0), (30, 1)])
+    def test_dual_lp_matches_highs_on_seeded_frames(self, m, trial, monkeypatch):
+        # the seeded m x 64 frames of the experiment tables; at m = 8 the 64
+        # column rows live in a 36-dimensional space, so presolve drops 28
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, m, 0, trial).integers(2**63))
+        fr = frames.random_gaussian_frame(m, 64, seed)
+        solves = []
+        real_solve = conic.solve
+
+        def spy(prob, settings=conic.SolverSettings()):
+            sol = real_solve(prob, settings)
+            solves.append((prob, sol))
+            return sol
+
+        monkeypatch.setattr(conic, "solve", spy)
+        cert = pc.certificate_feasibility(fr)
+        (prob, sol), = solves
+        n_active = len(cert.active_pos) + len(cert.active_neg)
+        assert prob.n_rows == 64 + n_active + 1
+        assert sol.status == conic.SolverStatus.OPTIMAL
+        if m == 8:
+            assert len(sol.dropped_rows) == 64 - m * (m + 1) // 2
+        ref = _highs_certificate(linprog, fr.matrix, cert.active_pos, cert.active_neg)
+        assert abs(cert.max_violation - ref) <= 1e-6
+        assert cert.feasible == (ref <= pc.CERTIFICATE_TOL)
+
+    def test_empty_active_set_rejected(self, mercedes_benz):
+        with pytest.raises(ValueError, match="active pair"):
+            pc.certificate_feasibility(mercedes_benz, [], [])
 
     def test_solver_consistency_contrapositive(self):
         fr = frames.random_gaussian_frame(8, 16, 3)
