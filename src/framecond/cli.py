@@ -115,6 +115,23 @@ def _solver_block(sol: conic.ConicSolution) -> dict:
     return {"status": sol.status, "iterations": sol.iterations, "gap": sol.gap, "rel_gap": sol.rel_gap}
 
 
+def _write_cli_report(args, config: dict, frame_stats, result, solver=None) -> None:
+    """Write the subcommand's JSON report: its configuration for replay
+    (led by the command name), the seed, the frame statistics, the result,
+    the solver block and the library versions."""
+    write_report(
+        args.report,
+        {
+            "config": {"command": args.command, **config},
+            "seed": args.seed,
+            "frame_stats": frame_stats,
+            "result": result,
+            "solver": solver,
+            "versions": _versions(),
+        },
+    )
+
+
 def _settings(args) -> conic.SolverSettings:
     return conic.SolverSettings(gap_tol=args.gap_tol, feas_tol=args.gap_tol, max_iter=args.max_iter)
 
@@ -136,17 +153,7 @@ def _cmd_gen(args) -> int:
     frame = random_gaussian_frame(args.m, args.M, args.seed)
     write_matrix(args.out, frame.matrix)
     if args.report:
-        write_report(
-            args.report,
-            {
-                "config": {"command": "gen", "m": args.m, "M": args.M},
-                "seed": args.seed,
-                "frame_stats": _frame_stats(frame),
-                "result": {"path": args.out},
-                "solver": None,
-                "versions": _versions(),
-            },
-        )
+        _write_cli_report(args, {"m": args.m, "M": args.M}, _frame_stats(frame), {"path": args.out})
     return 0
 
 
@@ -156,17 +163,7 @@ def _cmd_analyze(args) -> int:
     for key, val in stats.items():
         print(f"{key}: {val}")
     if args.report:
-        write_report(
-            args.report,
-            {
-                "config": {"command": "analyze", "matrix": args.matrix},
-                "seed": args.seed,
-                "frame_stats": stats,
-                "result": stats,
-                "solver": None,
-                "versions": _versions(),
-            },
-        )
+        _write_cli_report(args, {"matrix": args.matrix}, stats, stats)
     return 0
 
 
@@ -185,31 +182,22 @@ def _precondition_common(args, diagonal: bool) -> int:
     print(f"coherence: {result.coherence_before:.6f} -> {result.verified_coherence:.6f} "
           f"(q* = {result.q:.6f}, kappa(G) = {result.condition_number:.4f})")
     if args.report:
-        write_report(
-            args.report,
+        _write_cli_report(
+            args,
+            {"matrix": args.matrix, "gap_tol": args.gap_tol, "max_iter": args.max_iter},
+            _frame_stats(frame),
             {
-                "config": {
-                    "command": "diag-lp" if diagonal else "precondition",
-                    "matrix": args.matrix,
-                    "gap_tol": args.gap_tol,
-                    "max_iter": args.max_iter,
-                },
-                "seed": args.seed,
-                "frame_stats": _frame_stats(frame),
-                "result": {
-                    "q": result.q,
-                    "coherence_before": result.coherence_before,
-                    "coherence_after": result.verified_coherence,
-                    "welch_bound": frame_report(frame).welch_bound,
-                    "kappa": result.condition_number,
-                    "jitter": result.jitter,
-                    "active_pos_size": len(result.active_pos),
-                    "active_neg_size": len(result.active_neg),
-                    "preconditioner_path": args.out,
-                },
-                "solver": _solver_block(result.solution),
-                "versions": _versions(),
+                "q": result.q,
+                "coherence_before": result.coherence_before,
+                "coherence_after": result.verified_coherence,
+                "welch_bound": frame_report(frame).welch_bound,
+                "kappa": result.condition_number,
+                "jitter": result.jitter,
+                "active_pos_size": len(result.active_pos),
+                "active_neg_size": len(result.active_neg),
+                "preconditioner_path": args.out,
             },
+            _solver_block(result.solution),
         )
     return 0
 
@@ -238,22 +226,18 @@ def _cmd_tighten(args) -> int:
     print(f"coherence: {result.coherence_before:.6f} -> {rep.coherence:.6f}, "
           f"tight defect {rep.tight_defect:.3e}")
     if args.report:
-        write_report(
-            args.report,
+        _write_cli_report(
+            args,
+            {"matrix": args.matrix, "gap_tol": args.gap_tol},
+            _frame_stats(frame),
             {
-                "config": {"command": "tighten", "matrix": args.matrix, "gap_tol": args.gap_tol},
-                "seed": args.seed,
-                "frame_stats": _frame_stats(frame),
-                "result": {
-                    "coherence_before": result.coherence_before,
-                    "coherence_intermediate": result.verified_coherence,
-                    "coherence_after": rep.coherence,
-                    "tight_defect": rep.tight_defect,
-                    "tight_frame_path": args.out,
-                },
-                "solver": _solver_block(result.solution),
-                "versions": _versions(),
+                "coherence_before": result.coherence_before,
+                "coherence_intermediate": result.verified_coherence,
+                "coherence_after": rep.coherence,
+                "tight_defect": rep.tight_defect,
+                "tight_frame_path": args.out,
             },
+            _solver_block(result.solution),
         )
     return 0
 
@@ -270,20 +254,15 @@ def _cmd_certify(args) -> int:
     else:
         print(f"infeasible: strict improvement possible (violation {cert.max_violation:.3e})")
     if args.report:
-        write_report(
-            args.report,
+        _write_cli_report(
+            args,
+            {"matrix": args.matrix, "tol": args.tol},
+            _frame_stats(frame),
             {
-                "config": {"command": "certify", "matrix": args.matrix, "tol": args.tol},
-                "seed": args.seed,
-                "frame_stats": _frame_stats(frame),
-                "result": {
-                    "feasible": cert.feasible,
-                    "max_violation": cert.max_violation,
-                    "active_pos": [list(map(int, p)) for p in cert.active_pos],
-                    "active_neg": [list(map(int, p)) for p in cert.active_neg],
-                },
-                "solver": None,
-                "versions": _versions(),
+                "feasible": cert.feasible,
+                "max_violation": cert.max_violation,
+                "active_pos": [list(map(int, p)) for p in cert.active_pos],
+                "active_neg": [list(map(int, p)) for p in cert.active_neg],
             },
         )
     return 0
@@ -300,21 +279,15 @@ def _cmd_recover(args) -> int:
         write_matrix(args.out, result.estimate.reshape(-1, 1))
     print(f"{result.method}: support {list(result.support)}, residual {result.residual_norm:.3e}")
     if args.report:
-        write_report(
-            args.report,
+        _write_cli_report(
+            args,
+            {"matrix": args.matrix, "signal": args.signal, "decoder": args.decoder, "k": args.k},
+            _frame_stats(frame),
             {
-                "config": {"command": "recover", "matrix": args.matrix, "signal": args.signal,
-                           "decoder": args.decoder, "k": args.k},
-                "seed": args.seed,
-                "frame_stats": _frame_stats(frame),
-                "result": {
-                    "support": list(result.support),
-                    "residual_norm": result.residual_norm,
-                    "iterations": result.iterations,
-                    "estimate_path": args.out,
-                },
-                "solver": None,
-                "versions": _versions(),
+                "support": list(result.support),
+                "residual_norm": result.residual_norm,
+                "iterations": result.iterations,
+                "estimate_path": args.out,
             },
         )
     return 0
@@ -337,19 +310,13 @@ def _cmd_phase(args) -> int:
                    "m", "sparsity", ["using 1:($3>=0.5?$2:1/0) with points"])
     print(f"wrote {args.out} ({len(rows)} cells); 50% curve: {diagram.curve.tolist()}")
     if args.report:
-        write_report(
-            args.report,
-            {
-                "config": {"command": "phase", "M": args.M, "m_min": m_lo, "m_max": m_hi,
-                           "trials": args.trials, "pipeline": args.pipeline,
-                           "decoder": args.decoder, "gap_tol": args.gap_tol},
-                "seed": args.seed,
-                "frame_stats": None,
-                "result": {"csv_path": args.out, "gnuplot_path": gp,
-                           "m_grid": diagram.m_grid, "curve": diagram.curve.tolist()},
-                "solver": None,
-                "versions": _versions(),
-            },
+        _write_cli_report(
+            args,
+            {"M": args.M, "m_min": m_lo, "m_max": m_hi, "trials": args.trials,
+             "pipeline": args.pipeline, "decoder": args.decoder, "gap_tol": args.gap_tol},
+            None,
+            {"csv_path": args.out, "gnuplot_path": gp,
+             "m_grid": diagram.m_grid, "curve": diagram.curve.tolist()},
         )
     return 0
 
@@ -364,20 +331,13 @@ def _cmd_sweep(args) -> int:
                    "coherence(G Phi)", ["using 3:2 with linespoints"])
     print(f"wrote {args.out}; coherence {record.coherence[0]:.4f} -> {record.coherence[-1]:.4f}")
     if args.report:
-        write_report(
-            args.report,
-            {
-                "config": {"command": "sweep", "matrix": args.matrix, "t2": args.t2,
-                           "t1": args.t1, "t1_max": args.t1_max, "t1_step": args.t1_step,
-                           "gap_tol": args.gap_tol},
-                "seed": args.seed,
-                "frame_stats": _frame_stats(frame),
-                "result": {"csv_path": args.out, "t1_grid": grid,
-                           "coherence": record.coherence,
-                           "condition_number": record.condition_number},
-                "solver": None,
-                "versions": _versions(),
-            },
+        _write_cli_report(
+            args,
+            {"matrix": args.matrix, "t2": args.t2, "t1": args.t1, "t1_max": args.t1_max,
+             "t1_step": args.t1_step, "gap_tol": args.gap_tol},
+            _frame_stats(frame),
+            {"csv_path": args.out, "t1_grid": grid, "coherence": record.coherence,
+             "condition_number": record.condition_number},
         )
     return 0
 
@@ -392,7 +352,7 @@ def _cmd_table(args) -> int:
     _write_csv(args.out, ["m", "mean_mu_phi", "mean_mu_precond", "welch_bound"], data)
     _write_gnuplot(args.out + ".gp", args.out, "average coherence", "m", "coherence",
                    ["using 1:2 with linespoints", "using 1:3 with linespoints",
-                    "using 1:4 with linespoints"])
+                "using 1:4 with linespoints"])
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 

@@ -15,28 +15,31 @@ constrained diagonal (its diagonal joins the nonnegative scalars) or absent.
 The solver follows the central path with the HKM direction and a Mehrotra
 predictor-corrector step, fraction-to-boundary 0.98.  Iterates stay strictly
 inside the cones throughout.  The Schur complement over the row multipliers
-is ``N + U U^T`` with N diagonal (slack columns) and U of width
-``sum(m_b^2) + shared scalar columns``; row k of U's block b is
-``vec(L_b^T A_{k,b} T_b)`` for the HKM factors ``X_b = L_b L_b^T`` and
-``S_b^-1 = T_b T_b^T``.  The system is solved either densely or, for large
-row counts, by block elimination of the slack-bearing rows through the
-Woodbury identity; both paths are exact and interchangeable.
+is ``N + U U^T`` with N diagonal (slack columns).  The X block enters U in
+svec coordinates (the upper triangle, off-diagonal entries scaled by sqrt 2):
+with the HKM scaling ``D = X (x)_s S^-1``, the symmetric Kronecker product of
+order m(m+1)/2, factored as ``D = R R^T``, row k of U is
+``svec(A_k)^T R``, followed by the shared scalar columns (q, a diagonal X,
+extras) scaled by ``sqrt(x / s)``.  The system is solved densely or, for
+large row counts, by block elimination of the slack-bearing rows through the
+Woodbury identity; both paths are exact and polished by iterative
+refinement.
 
 The Woodbury path never forms U.  The row vectors u_k, v_k are drawn from a
-small dictionary of distinct atoms (the frame's columns, plus the unit
-vectors when eigenvalue bounds add coupling rows), so each row is a pair of
-atom indices.  Products with U and U^T reduce to an n x n gather and scatter
-over the atoms, and the core ``I + U_d^T N_d^-1 U_d`` to two Khatri-Rao
-products of ``atoms L`` and ``atoms T`` weighted by the n x n matrix of pair
-weights: O(n m^4 + n^2 m^2) work instead of O(k m^4) for k rows.  Only the
-few undamped (free) rows are materialised.
+small dictionary of distinct atoms (the frame's columns), so each row is a
+pair of atom indices.  Products with U and U^T reduce to an n x n gather and
+scatter over the atoms, and the core ``I + R^T G R`` needs only the weighted
+Gram ``G = sum_k b_k svec(A_k) svec(A_k)^T``: two fixed gathers of
+``P^T W P``, where P is the Khatri-Rao square of the atoms and W the n x n
+matrix of pair weights.  Only the few undamped (free) rows are materialised.
 
-Two-sided eigenvalue bounds are carried as extra PSD slack blocks
-``W1 = t1 I - X`` and ``W2 = X - t2 I`` tied to X by internal coupling rows.
-When ``t1 == t2`` the bounds pin ``X = t1 I``; the solver then eliminates the
-matrix block and solves the remaining linear program (no interior exists, so
-duals are reported for the reduced problem and the eliminated equality rows
-carry zero multipliers).
+Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
+``W2 = X - t2 I``, each with its own dual slack matrix.  They are affine in
+X, so they add no rows: their HKM scalings fold into the X block as
+``D^-1 = D_X^-1 + D_W1^-1 + D_W2^-1``.  When ``t1 == t2`` the bounds pin
+``X = t1 I``; the solver then eliminates the matrix block and solves the
+remaining linear program (no interior exists, so duals are reported for the
+reduced problem and the eliminated equality rows carry zero multipliers).
 """
 
 from __future__ import annotations
@@ -69,7 +72,6 @@ class SolverSettings:
     feas_tol: float = 1e-7
     max_iter: int = 200
     step_fraction: float = 0.98
-    kkt_mode: str = "auto"          # auto | dense | woodbury
     verbose: bool = False
 
 
@@ -181,7 +183,6 @@ class ConicSolution:
     gap_history: list = field(default_factory=list)
     bound_info: dict = field(default_factory=dict)
     dropped_rows: np.ndarray = None
-    kkt_fallbacks: int = 0      # Woodbury factors replaced by a dense factor
     kkt_ridges: int = 0         # factorizations that needed a diagonal ridge
 
 
@@ -201,19 +202,6 @@ class KKTResiduals:
 def _apply_rows_psd(u, v, alpha, x_mat):
     """alpha_k * u_k^T X v_k for all rows."""
     return alpha * np.einsum("km,km->k", u @ x_mat, v)
-
-
-def _scaled_rows(u, v, alpha, left, right):
-    """Rows vec(L^T A_k T): the PSD contribution to the Schur factor U."""
-    ul = u @ left
-    vt = v @ right
-    vl = v @ left
-    ut = u @ right
-    k, m = ul.shape
-    out = ul[:, :, None] * vt[:, None, :]
-    out += vl[:, :, None] * ut[:, None, :]
-    out *= (0.5 * alpha)[:, None, None]
-    return out.reshape(k, m * m)
 
 
 def _sym(a):
@@ -243,8 +231,8 @@ def _lin_max_step(x, dx):
 
 
 class _Layout:
-    """Index bookkeeping for the flattened nonnegative scalar vector and the
-    full row set (user rows followed by any bound-coupling rows)."""
+    """Index bookkeeping for the flattened nonnegative scalar vector and,
+    for a full matrix X, its atom dictionary and svec coordinates."""
 
     def __init__(self, prob: ConicProblem):
         m = prob.psd_dim
@@ -258,96 +246,108 @@ class _Layout:
         self.sl_off = self.n_sigma + 1
         self.ex_off = self.sl_off + self.n_slack
         self.n_lin = self.ex_off + self.n_extra
-
-        k_user = prob.n_rows
-        self.k_user = k_user
+        self.k = prob.n_rows
         self.bounds = prob.eig_bounds if self.matrix_mode else None
-        if self.bounds is not None:
-            tri = np.triu_indices(m)
-            self.tri_r, self.tri_c = tri
-            self.n_couple = len(tri[0])
-        else:
-            self.n_couple = 0
-        self.k_total = k_user + 2 * self.n_couple
+        # the sign of X in each PSD block: X, then W1 = t1 I - X, W2 = X - t2 I
+        self.signs = () if not self.matrix_mode else (1.0,) if self.bounds is None else (1.0, -1.0, 1.0)
 
-        # rank-two coefficients of the X block over all rows, each row a pair
-        # (iu_k, iv_k) of indices into a dictionary of distinct atom vectors
         if self.matrix_mode:
-            u = np.zeros((self.k_total, m))
-            v = np.zeros((self.k_total, m))
-            a = np.zeros(self.k_total)
-            u[:k_user] = prob.row_u
-            v[:k_user] = prob.row_v
-            a[:k_user] = prob.row_alpha
-            # coupling rows carry alpha = 1 on X and +1 / -1 on W1 / W2
-            self.block_alpha = [a]
-            if self.bounds is not None:
-                rows1 = k_user + np.arange(self.n_couple)
-                rows2 = rows1 + self.n_couple
-                for rows, sign in ((rows1, 1.0), (rows2, -1.0)):
-                    u[rows, self.tri_r] = 1.0
-                    v[rows, self.tri_c] = 1.0
-                    a[rows] = 1.0
-                    a_w = np.zeros(self.k_total)
-                    a_w[rows] = sign
-                    self.block_alpha.append(a_w)
-                self.rows1, self.rows2 = rows1, rows2
-            self.atoms, inverse = np.unique(np.vstack([u, v]), axis=0, return_inverse=True)
+            # each row's rank-two coefficient is a pair (iu_k, iv_k) of
+            # indices into a dictionary of distinct atom vectors
+            self.atoms, inverse = np.unique(
+                np.vstack([prob.row_u, prob.row_v]), axis=0, return_inverse=True
+            )
             inverse = inverse.reshape(-1)
-            self.iu, self.iv = inverse[: self.k_total], inverse[self.k_total :]
+            self.iu, self.iv = inverse[: self.k], inverse[self.k :]
             self.pair_flat = self.iu * len(self.atoms) + self.iv
-            self.xa = a
+            self.xa = prob.row_alpha
+            r, c = self.tri_r, self.tri_c = np.triu_indices(m)
+            nt = len(r)
+            scale = np.where(r == c, 1.0, np.sqrt(2.0))
+            self.tri_scale = scale
+            self.pair_scale = np.outer(scale, scale)
+            # the atoms' Khatri-Rao square over the upper triangle, and the two
+            # gathers that turn P^T W P into the svec Gram (weighted_gram)
+            self.kr = self.atoms[:, r] * self.atoms[:, c]
+            pos = np.zeros((m, m), dtype=int)
+            pos[r, c] = pos[c, r] = np.arange(nt)
+            self.gathers = (
+                pos[r[:, None], r] * nt + pos[c[:, None], c],
+                pos[r[:, None], c] * nt + pos[c[:, None], r],
+            )
 
-        # scalar coefficient columns, padded to k_total
-        pad = self.k_total - k_user
-        self.qcol = np.concatenate([prob.row_q, np.zeros(pad)])
-        self.ext = np.vstack([prob.extras, np.zeros((pad, self.n_extra))]) if self.n_extra else np.zeros((self.k_total, 0))
-        sig = np.zeros((self.k_total, self.n_sigma))
-        if self.diag_mode:
-            self.sig_cols = prob.row_alpha[:, None] * prob.row_u * prob.row_v  # (k_user, m)
-            sig[:k_user] = self.sig_cols
         # the scalar columns shared by all rows (q, diagonal X, extras) in the
         # Schur factor's column order, and their positions in the scalar vector
+        self.qcol = prob.row_q
+        self.ext = prob.extras
+        sig = np.zeros((self.k, 0))
+        if self.diag_mode:
+            sig = self.sig_cols = prob.row_alpha[:, None] * prob.row_u * prob.row_v
         self.shared = np.hstack([self.qcol[:, None], sig, self.ext])
         self.shared_idx = np.concatenate(
             [[self.q_pos], np.arange(self.n_sigma), np.arange(self.ex_off, self.n_lin)]
         )
-
-        self.b_full = np.concatenate([prob.rhs, np.zeros(pad)])
-        if self.bounds is not None:
-            t1, t2 = self.bounds
-            diag_mask = self.tri_r == self.tri_c
-            self.b_full[self.rows1] = np.where(diag_mask, t1, 0.0)
-            self.b_full[self.rows2] = np.where(diag_mask, t2, 0.0)
-
+        self.b = prob.rhs
         self.c_lin = np.zeros(self.n_lin)
         self.c_lin[self.q_pos] = 1.0
 
-    # ---- constraint operator ------------------------------------------------
-    def apply_psd(self, mats):
-        """sum_b <A_{k,b}, mats[b]> for every row, given symmetric blocks."""
-        gram = self.atoms @ mats[0] @ self.atoms.T
-        out = self.xa * gram.ravel()[self.pair_flat]
-        if self.bounds is not None:
-            out[self.rows1] += mats[1][self.tri_r, self.tri_c]
-            out[self.rows2] -= mats[2][self.tri_r, self.tri_c]
+    def blocks(self, x_mat):
+        """The PSD blocks of the primal point whose matrix part is x_mat."""
+        if self.bounds is None:
+            return [x_mat] if self.matrix_mode else []
+        t1, t2 = self.bounds
+        eye = np.eye(len(x_mat))
+        return [x_mat, t1 * eye - x_mat, x_mat - t2 * eye]
+
+    # ---- svec coordinates ---------------------------------------------------
+    def svec(self, mat):
+        return mat[self.tri_r, self.tri_c] * self.tri_scale
+
+    def smat(self, vec):
+        m = self.prob.psd_dim
+        out = np.empty((m, m))
+        out[self.tri_r, self.tri_c] = out[self.tri_c, self.tri_r] = vec / self.tri_scale
         return out
 
-    def apply(self, x_psd, x_lin):
-        out = self.apply_psd(x_psd) if self.matrix_mode else np.zeros(self.k_total)
+    def svec_rows(self, rows):
+        """svec(A_k) for the given rows, one per line."""
+        u, v = self.atoms[self.iu[rows]], self.atoms[self.iv[rows]]
+        r, c = self.tri_r, self.tri_c
+        return (0.5 * self.xa[rows])[:, None] * self.tri_scale * (u[:, r] * v[:, c] + u[:, c] * v[:, r])
+
+    def skron(self, p):
+        """``p (x)_s p`` in svec coordinates: svec(M) -> svec(p M p^T)."""
+        pr, pc = p[self.tri_r], p[self.tri_c]
+        r, c = self.tri_r, self.tri_c
+        return 0.5 * self.pair_scale * (pr[:, r] * pc[:, c] + pr[:, c] * pc[:, r])
+
+    # ---- constraint operator ------------------------------------------------
+    def apply_psd(self, x_mat):
+        """<A_k, X> for every row, given a symmetric X."""
+        gram = self.atoms @ x_mat @ self.atoms.T
+        return self.xa * gram.ravel()[self.pair_flat]
+
+    def apply_lin(self, x_lin):
+        """The scalar columns' contribution to every row."""
+        out = self.qcol * x_lin[self.q_pos]
         if self.diag_mode:
-            out[: self.k_user] += self.sig_cols @ x_lin[: self.n_sigma]
-        out += self.qcol * x_lin[self.q_pos]
+            out += self.sig_cols @ x_lin[: self.n_sigma]
         if self.n_slack:
             out[self.prob.slack_rows] += self.prob.slack_coefs * x_lin[self.sl_off : self.ex_off]
         if self.n_extra:
             out += self.ext @ x_lin[self.ex_off :]
         return out
 
+    def apply(self, x_mat, x_lin):
+        out = self.apply_lin(x_lin)
+        if self.matrix_mode:
+            out += self.apply_psd(x_mat)
+        return out
+
     def adjoint_lin(self, y):
         out = np.zeros(self.n_lin)
         if self.diag_mode:
-            out[: self.n_sigma] = self.sig_cols.T @ y[: self.k_user]
+            out[: self.n_sigma] = self.sig_cols.T @ y
         out[self.q_pos] = self.qcol @ y
         if self.n_slack:
             out[self.sl_off : self.ex_off] = self.prob.slack_coefs * y[self.prob.slack_rows]
@@ -356,23 +356,68 @@ class _Layout:
         return out
 
     def adjoint_psd(self, y):
-        """Per-block sum_k y_k A_{k,b}."""
+        """sum_k y_k A_k."""
         n = len(self.atoms)
         pair_w = np.bincount(self.pair_flat, weights=y * self.xa, minlength=n * n).reshape(n, n)
         half = 0.5 * (self.atoms.T @ pair_w @ self.atoms)
-        out = [half + half.T]
+        return half + half.T
+
+    def dual_objective(self, y, s_psd):
+        """``b^T y``, less ``t1 tr(S_W1) - t2 tr(S_W2)`` under eigenvalue bounds."""
+        out = float(self.b @ y)
         if self.bounds is not None:
-            m = self.prob.psd_dim
-            w1 = np.zeros((m, m))
-            w2 = np.zeros((m, m))
-            half1 = 0.5 * y[self.rows1]
-            half2 = -0.5 * y[self.rows2]
-            w1[self.tri_r, self.tri_c] += half1
-            w1[self.tri_c, self.tri_r] += half1
-            w2[self.tri_r, self.tri_c] += half2
-            w2[self.tri_c, self.tri_r] += half2
-            out.extend([w1, w2])
+            t1, t2 = self.bounds
+            out += t2 * np.trace(s_psd[2]) - t1 * np.trace(s_psd[1])
         return out
+
+    def dual_residual(self, y, s_psd):
+        """``-(sum_k y_k A_k + S_X - S_W1 + S_W2)``, the X-block dual residual
+        (None without a full matrix block)."""
+        if not self.matrix_mode:
+            return None
+        out = -self.adjoint_psd(y)
+        for sign, sb in zip(self.signs, s_psd):
+            out -= sign * sb
+        return out
+
+
+def _hkm_scaling(lay: _Layout, x_psd, s_chols):
+    """The HKM scaling of the X block in svec coordinates.
+
+    Returns ``(R, d_invs)``: R with ``R R^T = D``, where ``D^-1`` is the sum
+    of ``D_b^-1`` over the PSD blocks and ``D_b = X_b (x)_s S_b^-1``, and,
+    when there is more than one block, one function per block applying
+    ``D_b^-1`` to an svec vector.  With ``S_b = C C^T``,
+    ``C^T X_b C = V diag(g) V^T``, ``P = C^-T V``, ``Q = C V`` and
+    ``G_ij = (g_i + g_j) / 2``:
+
+        D_b    svec(M) = svec(P ((P^T M P) o G) P^T),
+        D_b^-1 svec(M) = svec(Q ((Q^T M Q) / G) Q^T),
+
+    so both come from products alone (near the central path every g is close
+    to mu) and no ill-conditioned matrix of order m(m+1)/2 is inverted.  One
+    block gives ``R = (P (x)_s P) diag(G)^1/2``.  Under bounds ``D^-1`` spans
+    far more orders of magnitude than any one block, so R is the inverse
+    triangular factor of a QR factorization of ``[F_X F_W1 F_W2]^T`` with
+    ``F_b = (Q (x)_s Q) diag(G)^-1/2``, not of a Cholesky factorization of
+    ``D^-1 = sum_b F_b F_b^T``, which would square that spread; for the same
+    reason ``D_b^-1`` is applied in matrix form, never as an explicit matrix.
+    """
+    r, c = lay.tri_r, lay.tri_c
+    facs = []
+    for xb, sc in zip(x_psd, s_chols):
+        g, v = np.linalg.eigh(_sym(sc.T @ xb @ sc))
+        facs.append((sc, v, 0.5 * (g[:, None] + g)))
+    if len(facs) == 1:
+        sc, v, g_pair = facs[0]
+        return lay.skron(solve_triangular(sc, v, lower=True, trans="T")) * np.sqrt(g_pair[r, c]), []
+    d_invs, f_blocks = [], []
+    for sc, v, g_pair in facs:
+        q = sc @ v
+        d_invs.append(lambda vec, q=q, g_pair=g_pair: lay.svec(q @ ((q.T @ lay.smat(vec) @ q) / g_pair) @ q.T))
+        f_blocks.append(lay.skron(q) / np.sqrt(g_pair[r, c]))
+    r_q = np.linalg.qr(np.hstack(f_blocks).T, mode="r")
+    return solve_triangular(r_q, np.eye(len(r_q)), lower=False), d_invs
 
 
 # --------------------------------------------------------------------------
@@ -383,77 +428,63 @@ class _Layout:
 class _SchurRows:
     """Rows ``sub`` of the Schur factor U at one iterate, as operators.
 
-    Column block b (one per PSD block) holds ``vec(L_b^T A_{k,b} T_b)``;
-    products with it cost O(n^2 m + n m^2 + k) over the n atoms, and
-    ``rows`` materialises it only for the rows asked for.  The trailing
-    shared scalar columns, scaled by
-    ``sqrt(x / s)``, are kept explicitly (for the coherence SDP this is the
-    single q column; for linear programs they are all of U).
+    The X-block columns of row k are ``svec(A_k)^T R``; products with them
+    cost O(n^2 m + n m^2 + m^4 + k) over the n atoms, and ``rows``
+    materialises them only for the rows asked for.  The trailing shared
+    scalar columns, scaled by ``sqrt(x / s)``, are kept explicitly (for the
+    coherence SDP this is the single q column; for linear programs they are
+    all of U).
     """
 
-    def __init__(self, lay: _Layout, chols, t_mats, scale, sub=None):
+    def __init__(self, lay: _Layout, r_mat, scale, sub=None):
         self.lay = lay
-        self.chols, self.t_mats = chols, t_mats
+        self.r_mat = r_mat
         self.scale = scale
-        self.sub = np.arange(lay.k_total) if sub is None else sub
+        self.sub = np.arange(lay.k) if sub is None else sub
         self.shared = lay.shared[self.sub] * scale
-        self.m = lay.prob.psd_dim
-        self.psd_width = len(chols) * self.m * self.m
+        self.psd_width = len(r_mat) if lay.matrix_mode else 0
         self.width = self.psd_width + len(scale)
 
     def restrict(self, sub):
         """The operator for rows ``sub`` of U."""
-        return _SchurRows(self.lay, self.chols, self.t_mats, self.scale, sub)
+        return _SchurRows(self.lay, self.r_mat, self.scale, sub)
 
     def rows(self, idx):
         """Explicit rows ``idx`` (positions within ``sub``)."""
-        lay = self.lay
-        cols = []
-        if lay.matrix_mode:
-            glob = self.sub[idx]
-            u, v = lay.atoms[lay.iu[glob]], lay.atoms[lay.iv[glob]]
-            cols = [
-                _scaled_rows(u, v, alpha[glob], left, right)
-                for alpha, left, right in zip(lay.block_alpha, self.chols, self.t_mats)
-            ]
-        cols.append(self.shared[idx])
+        cols = [self.shared[idx]]
+        if self.lay.matrix_mode:
+            cols.insert(0, self.lay.svec_rows(self.sub[idx]) @ self.r_mat)
         return np.hstack(cols)
 
     def _psd_rmatvec(self, z):
-        y = np.zeros(self.lay.k_total)
+        y = np.zeros(self.lay.k)
         y[self.sub] = z
-        adj = self.lay.adjoint_psd(y)
-        return [(left.T @ a @ right).ravel() for left, right, a in zip(self.chols, self.t_mats, adj)]
+        return self.r_mat.T @ self.lay.svec(self.lay.adjoint_psd(y))
 
     def rmatvec(self, z):
         """U_sub^T z."""
         tail = self.shared.T @ z
         if not self.lay.matrix_mode:
             return tail
-        return np.concatenate(self._psd_rmatvec(z) + [tail])
+        return np.concatenate([self._psd_rmatvec(z), tail])
 
     def matvec(self, t):
         """U_sub t."""
         lay = self.lay
         out = self.shared @ t[self.psd_width :]
         if lay.matrix_mode:
-            m = self.m
-            blocks = t[: self.psd_width].reshape(-1, m, m)
-            out += lay.apply_psd(
-                [_sym(left @ blk @ right.T) for left, right, blk in zip(self.chols, self.t_mats, blocks)]
-            )[self.sub]
+            out += lay.apply_psd(lay.smat(self.r_mat @ t[: self.psd_width]))[self.sub]
         return out
 
     def weighted_gram(self, b):
-        """U_sub^T diag(b) U_sub, for rows ``sub`` that exclude the coupling rows.
+        """U_sub^T diag(b) U_sub.
 
-        Coupling rows carry no slack, so they are never damped and the W1/W2
-        columns contribute nothing here.  For the X block, with A = atoms L
-        and B = atoms T, every row is ``alpha/2 (A_u (x) B_v + A_v (x) B_u)``;
-        summing the four outer products over the rows, grouped by atom pair
-        into the n x n weight matrix W, gives two Khatri-Rao products
-        ``P^T W Q`` (P = A.A, Q = B.B) and ``R^T W R`` (R = A.B), each equal to
-        the X block after a permutation of its four m-sized axes.
+        The X block is ``R^T G R`` with ``G = sum_k b_k svec(A_k) svec(A_k)^T``.
+        Every A_k is ``alpha/2 (a_i a_j^T + a_j a_i^T)`` for an atom pair
+        (i, j).  Grouping the rows by pair into the symmetric n x n weight
+        matrix W and writing P for the atoms' Khatri-Rao square (row i holds
+        the upper triangle of ``a_i a_i^T``), the (pq, rs) entry of G is
+        ``c_pq c_rs / 4 (M[pr, qs] + M[ps, qr])`` with ``M = P^T W P``.
         """
         lay = self.lay
         gram = np.zeros((self.width, self.width))
@@ -462,20 +493,15 @@ class _SchurRows:
         gram[off:, off:] = weighted.T @ self.shared
         if not lay.matrix_mode:
             return gram
-        m, n = self.m, len(lay.atoms)
-        w_pair = 0.25 * b * lay.xa[self.sub] ** 2
+        n = len(lay.atoms)
+        w_pair = b * lay.xa[self.sub] ** 2
         pair_w = np.bincount(lay.pair_flat[self.sub], weights=w_pair, minlength=n * n).reshape(n, n)
         pair_w += pair_w.T
-        a = lay.atoms @ self.chols[0]
-        bt = lay.atoms @ self.t_mats[0]
-        p = (a[:, :, None] * a[:, None, :]).reshape(n, m * m)
-        q = (bt[:, :, None] * bt[:, None, :]).reshape(n, m * m)
-        r = (a[:, :, None] * bt[:, None, :]).reshape(n, m * m)
-        g1 = (p.T @ (pair_w @ q)).reshape(m, m, m, m).transpose(0, 2, 1, 3)
-        g2 = (r.T @ (pair_w @ r)).reshape(m, m, m, m).transpose(0, 3, 2, 1)
-        gram[: m * m, : m * m] = (g1 + g2).reshape(m * m, m * m)
+        mm = (lay.kr.T @ (pair_w @ lay.kr)).ravel()
+        g = 0.25 * lay.pair_scale * (mm[lay.gathers[0]] + mm[lay.gathers[1]])
+        gram[:off, :off] = self.r_mat.T @ g @ self.r_mat
         for j in range(weighted.shape[1]):
-            gram[:off, off + j] = np.concatenate(self._psd_rmatvec(weighted[:, j]))
+            gram[:off, off + j] = self._psd_rmatvec(weighted[:, j])
         gram[off:, :off] = gram[:off, off:].T
         return gram
 
@@ -484,20 +510,17 @@ class _KKTFactor:
     """Factorization of H = diag(n_diag) + U U^T for U given as a
     :class:`_SchurRows` operator.
 
-    Dense mode builds U explicitly and factors H.  Woodbury mode splits the
-    rows into free rows (diagonal weight at or near zero: the slack-free
-    rows, all coupling rows, and slack rows that are nearly active) and
-    damped rows B, factors the core ``I + U_B^T B^-1 U_B`` from its
-    Khatri-Rao form, and eliminates the free rows through their Schur
-    complement; only the free rows of U are ever materialised.  Solves are
-    polished by iterative refinement and, if that stalls, the factor is
-    replaced by the dense one (counted in ``fallbacks``).
+    Small systems are factored densely.  Large ones split the rows into free
+    rows (diagonal weight at or near zero: the slack-free rows and slack rows
+    that are nearly active) and damped rows B, factor the core
+    ``I + U_B^T B^-1 U_B`` from its Khatri-Rao form, and eliminate the free
+    rows through their Schur complement; only the free rows of U are ever
+    materialised.  Solves are polished by iterative refinement.
     """
 
-    def __init__(self, n_diag, op: _SchurRows, mode):
+    def __init__(self, n_diag, op: _SchurRows, mode="auto"):
         self.n_diag = n_diag
         self.op = op
-        self.fallbacks = 0
         self.ridges = 0
         k = len(n_diag)
         width = op.width
@@ -521,7 +544,10 @@ class _KKTFactor:
             )
         self.mode = mode
         if mode == "dense":
-            self.fac = self._factor(self._dense())
+            u = op.rows(np.arange(k))
+            h = u @ u.T
+            h[np.diag_indices_from(h)] += n_diag
+            self.fac = self._factor(h)
         else:
             self.binv = 1.0 / n_diag[self.damp]
             self.u_damp = op.restrict(self.damp)
@@ -539,12 +565,6 @@ class _KKTFactor:
         fac, ridge = _chol_with_ridge(h)
         self.ridges += ridge > 0.0
         return fac
-
-    def _dense(self):
-        u = self.op.rows(np.arange(len(self.n_diag)))
-        h = u @ u.T
-        h[np.diag_indices_from(h)] += self.n_diag
-        return h
 
     def _solve_once(self, r):
         if self.mode == "dense":
@@ -566,19 +586,14 @@ class _KKTFactor:
     def apply(self, x):
         return self.n_diag * x + self.op.matvec(self.op.rmatvec(x))
 
-    def _densify(self):
-        self.fac = self._factor(self._dense())
-        self.mode = "dense"
-        self.fallbacks += 1
-
     def solve(self, r):
         # the factors are checked when built, so one scan of r replaces
         # scipy's check_finite rescans in every cho_solve
         if not np.isfinite(r).all():
             raise ValueError("KKT right-hand side contains NaN or Inf")
         # iterative refinement keeps the Woodbury path accurate when slack
-        # weights span many orders of magnitude; fall back to a dense factor
-        # only if refinement stalls outright
+        # weights span many orders of magnitude; if it stalls, the best
+        # iterate is returned and the solver's own residuals judge the step
         rnorm = np.linalg.norm(r) + 1e-300
         x = self._solve_once(r)
         best, best_res = x, np.inf
@@ -590,10 +605,71 @@ class _KKTFactor:
             if res_norm <= 1e-11 * rnorm:
                 return x
             x = x + self._solve_once(res)
-        if self.mode == "woodbury" and best_res > 1e-7 * rnorm:
-            self._densify()
-            return self.solve(r)
         return best
+
+
+class _Newton:
+    """The scaled, factored Newton system at one iterate.
+
+    ``direction(rc_psd, rc_lin)`` returns ``(dx_psd, dx_lin, dy, ds_psd,
+    ds_lin)`` for the complementarity targets ``rc_psd`` (one per PSD block)
+    and ``rc_lin``.  In svec coordinates each block gives
+    ``dS_b = D_b^-1 (h_b - sign_b dx)`` with ``h_b = svec(sym(rc_b S_b^-1))``,
+    and the X-block dual equation then fixes
+    ``dx = D (svec(A^T dy) + sum_b sign_b D_b^-1 h_b - rd)``.
+    """
+
+    def __init__(self, lay: _Layout, x_psd, x_lin, s_lin, s_chols, residuals):
+        prob = lay.prob
+        self.lay = lay
+        self.x_psd, self.x_lin, self.s_lin = x_psd, x_lin, s_lin
+        self.rp, self.rd_mat, self.rd_lin = residuals
+        r_mat, self.d_invs = None, []
+        if lay.matrix_mode:
+            r_mat, self.d_invs = _hkm_scaling(lay, x_psd, s_chols)
+            t_mats = [solve_triangular(rc, np.eye(len(rc)), lower=True).T for rc in s_chols]
+            self.s_invs = [t @ t.T for t in t_mats]
+        self.r_mat = r_mat
+        d_lin = x_lin / s_lin
+        if not np.isfinite(d_lin).all():
+            raise np.linalg.LinAlgError("scalar scaling is not finite")
+        n_diag = np.zeros(lay.k)
+        if lay.n_slack:
+            n_diag[prob.slack_rows] = prob.slack_coefs**2 * d_lin[lay.sl_off : lay.ex_off]
+        self.kkt = _KKTFactor(n_diag, _SchurRows(lay, r_mat, np.sqrt(d_lin[lay.shared_idx])))
+
+    def _d(self, vec):
+        return self.r_mat @ (self.r_mat.T @ vec)
+
+    def direction(self, rc_psd, rc_lin):
+        lay = self.lay
+        x_lin, s_lin, rd_lin = self.x_lin, self.s_lin, self.rd_lin
+        rhs = self.rp.copy()
+        if lay.matrix_mode:
+            h = [lay.svec(_sym(rc @ s_inv)) for rc, s_inv in zip(rc_psd, self.s_invs)]
+            if self.d_invs:
+                z = sum(sign * d_inv(hb) for sign, d_inv, hb in zip(lay.signs, self.d_invs, h))
+                dz = self._d(z - lay.svec(self.rd_mat))
+            else:
+                x_mat, s_inv = self.x_psd[0], self.s_invs[0]
+                dz = h[0] - lay.svec(_sym(x_mat @ self.rd_mat @ s_inv))
+            rhs -= lay.apply_psd(lay.smat(dz))
+        w = (rc_lin - x_lin * rd_lin) / s_lin
+        rhs -= lay.apply_lin(w)
+        dy = self.kkt.solve(rhs)
+        ds_lin = rd_lin - lay.adjoint_lin(dy)
+        dx_lin = (rc_lin - x_lin * ds_lin) / s_lin
+        if not lay.matrix_mode:
+            return [], dx_lin, dy, [], ds_lin
+        adj = lay.adjoint_psd(dy)
+        dx = dz + self._d(lay.svec(adj))
+        ds_psd = [self.rd_mat - adj]
+        for sign, d_inv, hb in zip(lay.signs[1:], self.d_invs[1:], h[1:]):
+            dsb = lay.smat(d_inv(hb - sign * dx))
+            ds_psd[0] -= sign * dsb
+            ds_psd.append(dsb)
+        dx_mat = lay.smat(dx)
+        return [sign * dx_mat for sign in lay.signs], dx_lin, dy, ds_psd, ds_lin
 
 
 def _chol_with_ridge(h):
@@ -648,30 +724,13 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
     remap = -np.ones(k, dtype=int)
     remap[keep] = np.arange(len(keep))
 
-    def _remap_rows(rows):
+    def relabel(rows):
         return remap[rows] if rows is not None and len(np.atleast_1d(rows)) else rows
 
     dual_start = prob.dual_start
     if dual_start is not None:
         dual_start = {**dual_start, "y": np.asarray(dual_start["y"])[keep]}
-    new = _replace_rows(prob, keep, remap, _remap_rows, dual_start)
-    if dual_start is not None:
-        # restore exact dual feasibility on the reduced row set so the
-        # stationarity products stay at complementarity level
-        lay = _Layout(new)
-        y_full = np.zeros(lay.k_total)
-        y_full[: lay.k_user] = dual_start["y"]
-        s_lin = lay.c_lin - lay.adjoint_lin(y_full)
-        s_psd = [-blk for blk in lay.adjoint_psd(y_full)] if lay.matrix_mode else []
-        usable = (s_lin > 1e-12).all() and all(
-            np.linalg.eigvalsh(blk).min() > 1e-12 for blk in s_psd
-        )
-        new.dual_start = {**dual_start, "lin": s_lin, "psd": s_psd} if usable else None
-    return new, dropped
-
-
-def _replace_rows(prob, keep, remap, _remap_rows, dual_start):
-    return replace(
+    new = replace(
         prob,
         rhs=prob.rhs[keep],
         row_u=prob.row_u[keep],
@@ -681,11 +740,23 @@ def _replace_rows(prob, keep, remap, _remap_rows, dual_start):
         slack_rows=remap[prob.slack_rows],
         slack_coefs=prob.slack_coefs,
         extras=prob.extras[keep],
-        diag_rows=_remap_rows(prob.diag_rows),
-        pair_pos_rows=_remap_rows(prob.pair_pos_rows),
-        pair_neg_rows=_remap_rows(prob.pair_neg_rows),
+        diag_rows=relabel(prob.diag_rows),
+        pair_pos_rows=relabel(prob.pair_pos_rows),
+        pair_neg_rows=relabel(prob.pair_neg_rows),
         dual_start=dual_start,
     )
+    if dual_start is not None:
+        # restore exact dual feasibility on the reduced row set so the
+        # stationarity products stay at complementarity level
+        lay = _Layout(new)
+        y = np.asarray(dual_start["y"], dtype=float)
+        s_lin = lay.c_lin - lay.adjoint_lin(y)
+        s_psd = [-lay.adjoint_psd(y)] if lay.matrix_mode else []
+        usable = (s_lin > 1e-12).all() and all(
+            np.linalg.eigvalsh(blk).min() > 1e-12 for blk in s_psd
+        )
+        new.dual_start = {**dual_start, "lin": s_lin, "psd": s_psd} if usable else None
+    return new, dropped
 
 
 def _pivoted_chol_dependents(gram):
@@ -750,32 +821,26 @@ def solve(problem: ConicProblem, settings: SolverSettings = SolverSettings()) ->
     return sol
 
 
-def _floor_slacks(lay: _Layout, x_psd, x_lin):
+def _floor_slacks(lay: _Layout, x_mat, x_lin):
     """Make each slack absorb its row residual, floored away from zero."""
     if not lay.n_slack:
         return x_lin
     probe = x_lin.copy()
     probe[lay.sl_off : lay.ex_off] = 0.0
-    base = lay.apply(x_psd, probe)
-    resid = lay.b_full[lay.prob.slack_rows] - base[lay.prob.slack_rows]
+    base = lay.apply(x_mat, probe)
+    resid = lay.b[lay.prob.slack_rows] - base[lay.prob.slack_rows]
     x_lin[lay.sl_off : lay.ex_off] = np.maximum(resid / lay.prob.slack_coefs, 0.1)
     return x_lin
 
 
 def _primal_start(lay: _Layout):
-    prob = lay.prob
-    m = prob.psd_dim
+    m = lay.prob.psd_dim
+    start = lay.prob.primal_start or {}
+    x_lin = start["lin"].copy() if start else np.ones(lay.n_lin)
+    slacks_stale = not start
     x_mat = None
-    x_lin = None
-    if prob.primal_start is not None:
-        x_lin = prob.primal_start["lin"].copy()
-        psd = prob.primal_start.get("psd", [])
-        if psd:
-            x_mat = psd[0].copy()
-    slacks_stale = x_lin is None
     if lay.matrix_mode:
-        if x_mat is None:
-            x_mat = np.eye(m)
+        x_mat = start["psd"][0].copy() if start.get("psd") else np.eye(m)
         if lay.bounds is not None:
             t1, t2 = lay.bounds
             margin = 1e-3 * (t1 - t2)
@@ -784,75 +849,68 @@ def _primal_start(lay: _Layout):
                 beta = 1.0 if (t2 + margin < 1.0 < t1 - margin) else 0.5 * (t1 + t2)
                 x_mat = beta * np.eye(m)
                 slacks_stale = True
-            x_psd = [x_mat, t1 * np.eye(m) - x_mat, x_mat - t2 * np.eye(m)]
-        else:
-            x_psd = [x_mat]
-    else:
-        x_psd = []
-    if x_lin is None:
-        x_lin = np.ones(lay.n_lin)
     if slacks_stale:
-        x_lin = _floor_slacks(lay, x_psd, x_lin)
-    return x_psd, x_lin
+        x_lin = _floor_slacks(lay, x_mat, x_lin)
+    return x_mat, x_lin
 
 
 def _start_state(lay: _Layout):
     prob = lay.prob
-    x_psd, x_lin = _primal_start(lay)
+    m = prob.psd_dim
+    x_mat, x_lin = _primal_start(lay)
     if prob.dual_start is not None:
-        y = np.zeros(lay.k_total)
-        y[: lay.k_user] = prob.dual_start["y"]
+        y = np.array(prob.dual_start["y"], dtype=float)
         s_psd = [b.copy() for b in prob.dual_start.get("psd", [])]
         s_lin = prob.dual_start["lin"].copy()
         if lay.bounds is not None:
-            # couple-row duals -eps/+eps on diagonal positions cancel in the
-            # X-block adjoint and give the W blocks dual slack eps * I
+            # equal dual slacks on W1 and W2 cancel in the X-block dual
+            # residual, so the start stays exactly dual feasible
             t1, t2 = lay.bounds
             eps = 0.1 * max(t1 - t2, 1e-3)
-            diag_mask = lay.tri_r == lay.tri_c
-            y[lay.rows1] = np.where(diag_mask, -eps, 0.0)
-            y[lay.rows2] = np.where(diag_mask, eps, 0.0)
-            m = prob.psd_dim
-            s_psd = [s_psd[0], eps * np.eye(m), eps * np.eye(m)]
+            s_psd += [eps * np.eye(m), eps * np.eye(m)]
     else:
-        y = np.zeros(lay.k_total)
-        s_psd = [np.eye(prob.psd_dim) for _ in range(3 if lay.bounds is not None else (1 if lay.matrix_mode else 0))]
+        y = np.zeros(lay.k)
+        s_psd = [np.eye(m) for _ in lay.signs]
         s_lin = np.ones(lay.n_lin)
-    return x_psd, x_lin, y, s_psd, s_lin
+    return x_mat, x_lin, y, s_psd, s_lin
+
+
+def _measure(lay: _Layout, x_mat, x_lin, y, s_psd, s_lin):
+    """Residuals ``(rp, rd_mat, rd_lin)`` of a primal-dual point, its
+    complementarity gap, both objectives and the scaled primal and dual
+    infeasibilities."""
+    x_psd = lay.blocks(x_mat)
+    rp = lay.b - lay.apply(x_mat, x_lin)
+    rd_mat = lay.dual_residual(y, s_psd)
+    rd_lin = lay.c_lin - s_lin - lay.adjoint_lin(y)
+    gap = float(sum(np.tensordot(xb, sb) for xb, sb in zip(x_psd, s_psd)) + x_lin @ s_lin)
+    p_inf = float(np.abs(rp).max()) / (1.0 + np.abs(lay.b).max())
+    d_inf = max(
+        float(np.abs(rd_lin).max()),
+        float(np.abs(rd_mat).max()) if rd_mat is not None else 0.0,
+    ) / 2.0
+    return (rp, rd_mat, rd_lin), gap, float(x_lin[lay.q_pos]), lay.dual_objective(y, s_psd), p_inf, d_inf
 
 
 def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
-    prob = lay.prob
-    x_psd, x_lin, y, s_psd, s_lin = _start_state(lay)
+    x_mat, x_lin, y, s_psd, s_lin = _start_state(lay)
+    x_psd = lay.blocks(x_mat)
     nu = sum(len(b) for b in x_psd) + lay.n_lin
-    b_norm = 1.0 + np.abs(lay.b_full).max()
-    c_norm = 2.0
     gap_history: list[float] = []
     status = SolverStatus.MAX_ITER
     iters = 0
-    fallbacks = ridges = 0
+    ridges = 0
     best = None
     best_merit = np.inf
     best_basic = None
 
-    def residuals():
-        rp = lay.b_full - lay.apply(x_psd, x_lin)
-        adj = lay.adjoint_psd(y) if lay.matrix_mode else []
-        rd_psd = [-s - a for s, a in zip(s_psd, adj)]
-        rd_lin = lay.c_lin - s_lin - lay.adjoint_lin(y)
-        return rp, rd_psd, rd_lin
+    def snapshot():
+        x_copy = None if x_mat is None else x_mat.copy()
+        return x_copy, x_lin.copy(), y.copy(), [b.copy() for b in s_psd], s_lin.copy()
 
     for iters in range(settings.max_iter + 1):
-        rp, rd_psd, rd_lin = residuals()
-        gap = float(sum(np.tensordot(xb, sb) for xb, sb in zip(x_psd, s_psd)) + x_lin @ s_lin)
-        pobj = float(x_lin[lay.q_pos])
-        dobj = float(lay.b_full @ y)
+        residuals, gap, pobj, dobj, p_inf, d_inf = _measure(lay, x_mat, x_lin, y, s_psd, s_lin)
         rel_gap = gap / (1.0 + abs(pobj))
-        p_inf = float(np.abs(rp).max()) / b_norm
-        d_inf = max(
-            float(np.abs(rd_lin).max()),
-            max((float(np.abs(rb).max()) for rb in rd_psd), default=0.0),
-        ) / c_norm
         gap_history.append(gap)
         if settings.verbose:
             print(f"  iter {iters:3d}  gap {gap:9.2e}  pobj {pobj:11.6f}  dobj {dobj:11.6f}  "
@@ -860,13 +918,7 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         merit = max(rel_gap, p_inf, d_inf, abs(pobj - dobj) / (1.0 + abs(pobj)))
         if merit < best_merit:
             best_merit = merit
-            best = (
-                [b.copy() for b in x_psd],
-                x_lin.copy(),
-                y.copy(),
-                [b.copy() for b in s_psd],
-                s_lin.copy(),
-            )
+            best = snapshot()
         # the stationarity products |X_b S_b|_F can sit well above the trace
         # gap when the optimal X is nearly singular; polishing until they
         # pass keeps every Optimal solve inside the KKT residual contract
@@ -880,13 +932,7 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
             and d_inf <= settings.feas_tol
         )
         if basic_ok and best_basic is None:
-            best_basic = (
-                [b.copy() for b in x_psd],
-                x_lin.copy(),
-                y.copy(),
-                [b.copy() for b in s_psd],
-                s_lin.copy(),
-            )
+            best_basic = snapshot()
         if basic_ok and (psd_prod <= 5.0 * settings.gap_tol or rel_gap <= 1e-3 * settings.gap_tol):
             status = SolverStatus.OPTIMAL
             break
@@ -895,56 +941,19 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
             break
 
         mu = gap / nu
-
-        # HKM scaling data
         try:
             chols = [np.linalg.cholesky(_sym(xb)) for xb in x_psd]
             s_chols = [np.linalg.cholesky(_sym(sb)) for sb in s_psd]
+            newton = _Newton(lay, x_psd, x_lin, s_lin, s_chols, residuals)
         except np.linalg.LinAlgError:
             status = SolverStatus.NUMERICAL_FAILURE
             break
-        t_mats = [solve_triangular(rc, np.eye(len(rc)), lower=True).T for rc in s_chols]
-        s_invs = [t @ t.T for t in t_mats]
-
-        d_lin = x_lin / s_lin
-        if not np.isfinite(d_lin).all():
-            status = SolverStatus.NUMERICAL_FAILURE
-            break
-        n_diag = np.zeros(lay.k_total)
-        if lay.n_slack:
-            n_diag[prob.slack_rows] = prob.slack_coefs**2 * d_lin[lay.sl_off : lay.ex_off]
-        op = _SchurRows(lay, chols, t_mats, np.sqrt(d_lin[lay.shared_idx]))
-        try:
-            kkt = _KKTFactor(n_diag, op, settings.kkt_mode)
-        except np.linalg.LinAlgError:
-            status = SolverStatus.NUMERICAL_FAILURE
-            break
-
-        def direction(rc_psd, rc_lin):
-            rhs = rp.copy()
-            if lay.matrix_mode:
-                rhs -= lay.apply_psd([
-                    _sym(rc_psd[b] @ s_invs[b]) - _sym(x_psd[b] @ rd_psd[b] @ s_invs[b])
-                    for b in range(len(x_psd))
-                ])
-            w = (rc_lin - x_lin * rd_lin) / s_lin
-            rhs -= _lin_columns_dot(lay, w)
-            dy = kkt.solve(rhs)
-            ds_lin = rd_lin - lay.adjoint_lin(dy)
-            dx_lin = (rc_lin - x_lin * ds_lin) / s_lin
-            ds_psd, dx_psd = [], []
-            adj = lay.adjoint_psd(dy) if lay.matrix_mode else []
-            for b in range(len(x_psd)):
-                dsb = rd_psd[b] - adj[b]
-                dxb = _sym(rc_psd[b] @ s_invs[b]) - _sym(x_psd[b] @ dsb @ s_invs[b])
-                ds_psd.append(dsb)
-                dx_psd.append(dxb)
-            return dx_psd, dx_lin, dy, ds_psd, ds_lin
+        ridges += newton.kkt.ridges
 
         # predictor
         rc_psd = [-xb @ sb for xb, sb in zip(x_psd, s_psd)]
         rc_lin = -x_lin * s_lin
-        dxp_a, dxl_a, dy_a, dsp_a, dsl_a = direction(rc_psd, rc_lin)
+        dxp_a, dxl_a, dy_a, dsp_a, dsl_a = newton.direction(rc_psd, rc_lin)
         ap = min(
             min((_psd_max_step(chols[b], dxp_a[b]) for b in range(len(x_psd))), default=np.inf),
             _lin_max_step(x_lin, dxl_a),
@@ -967,9 +976,7 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
             for b, (xb, sb) in enumerate(zip(x_psd, s_psd))
         ]
         rc_lin = sigma * mu - x_lin * s_lin - dxl_a * dsl_a
-        dx_psd, dx_lin, dy, ds_psd, ds_lin = direction(rc_psd, rc_lin)
-        fallbacks += kkt.fallbacks
-        ridges += kkt.ridges
+        dx_psd, dx_lin, dy, ds_psd, ds_lin = newton.direction(rc_psd, rc_lin)
 
         def max_steps(dxp, dxl, dsp, dsl):
             a_p = settings.step_fraction * min(
@@ -1007,8 +1014,10 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
             status = SolverStatus.NUMERICAL_FAILURE if chosen is None else SolverStatus.MAX_ITER
             break
         (dx_psd, dx_lin, ds_psd, ds_lin, dy), ap, ad = chosen
-        for b in range(len(x_psd)):
-            x_psd[b] = _sym(x_psd[b] + ap * dx_psd[b])
+        if lay.matrix_mode:
+            x_mat = _sym(x_mat + ap * dx_psd[0])
+            x_psd = lay.blocks(x_mat)
+        for b in range(len(s_psd)):
             s_psd[b] = _sym(s_psd[b] + ad * ds_psd[b])
         x_lin = x_lin + ap * dx_lin
         s_lin = s_lin + ad * ds_lin
@@ -1018,46 +1027,28 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         if best_basic is not None:
             # the basic optimality criteria were met earlier; the extra
             # stationarity polish stalled, so return that certified point
-            x_psd, x_lin, y, s_psd, s_lin = best_basic
+            x_mat, x_lin, y, s_psd, s_lin = best_basic
             status = SolverStatus.OPTIMAL
         elif best is not None:
-            x_psd, x_lin, y, s_psd, s_lin = best
-    sol = _package(lay, x_psd, x_lin, y, s_psd, s_lin, status, iters, gap_history)
-    sol.kkt_fallbacks, sol.kkt_ridges = fallbacks, ridges
+            x_mat, x_lin, y, s_psd, s_lin = best
+    sol = _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history)
+    sol.kkt_ridges = ridges
     return sol
 
 
-def _lin_columns_dot(lay: _Layout, w):
-    """A restricted to the scalar columns, applied to weight vector w."""
-    out = lay.qcol * w[lay.q_pos]
-    if lay.diag_mode:
-        out[: lay.k_user] += lay.sig_cols @ w[: lay.n_sigma]
-    if lay.n_slack:
-        out[lay.prob.slack_rows] += lay.prob.slack_coefs * w[lay.sl_off : lay.ex_off]
-    if lay.n_extra:
-        out += lay.ext @ w[lay.ex_off :]
-    return out
-
-
-def _package(lay, x_psd, x_lin, y, s_psd, s_lin, status, iters, gap_history):
-    prob = lay.prob
-    rp = lay.b_full - lay.apply(x_psd, x_lin)
-    rd_lin = lay.c_lin - s_lin - lay.adjoint_lin(y)
-    adj = lay.adjoint_psd(y) if lay.matrix_mode else []
-    rd_psd = [-s - a for s, a in zip(s_psd, adj)]
-    gap = float(sum(np.tensordot(xb, sb) for xb, sb in zip(x_psd, s_psd)) + x_lin @ s_lin)
-    pobj = float(x_lin[lay.q_pos])
-    dobj = float(lay.b_full @ y)
+def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
+    x_psd = lay.blocks(x_mat)
+    _, gap, pobj, dobj, p_inf, d_inf = _measure(lay, x_mat, x_lin, y, s_psd, s_lin)
 
     if lay.matrix_mode:
-        x_mat = _sym(x_psd[0])
-        s_mat = _sym(s_psd[0])
+        x_out = _sym(x_mat)
+        s_out = _sym(s_psd[0])
     elif lay.diag_mode:
-        x_mat = np.diag(x_lin[: lay.n_sigma])
-        s_mat = np.diag(s_lin[: lay.n_sigma])
+        x_out = np.diag(x_lin[: lay.n_sigma])
+        s_out = np.diag(s_lin[: lay.n_sigma])
     else:
-        x_mat = None
-        s_mat = None
+        x_out = None
+        s_out = None
 
     bound_info = {}
     if lay.bounds is not None:
@@ -1066,16 +1057,15 @@ def _package(lay, x_psd, x_lin, y, s_psd, s_lin, status, iters, gap_history):
             "lower_slack": _sym(x_psd[2]),
             "upper_dual": _sym(s_psd[1]),
             "lower_dual": _sym(s_psd[2]),
-            "couple_y": y[lay.k_user :].copy(),
         }
 
     return ConicSolution(
-        X=x_mat,
+        X=x_out,
         q=pobj,
         slacks=x_lin[lay.sl_off : lay.ex_off].copy(),
         extras=x_lin[lay.ex_off :].copy(),
-        y=y[: lay.k_user].copy(),
-        dual_psd=s_mat,
+        y=y.copy(),
+        dual_psd=s_out,
         q_dual=float(s_lin[lay.q_pos]),
         slack_duals=s_lin[lay.sl_off : lay.ex_off].copy(),
         extra_duals=s_lin[lay.ex_off :].copy(),
@@ -1083,11 +1073,8 @@ def _package(lay, x_psd, x_lin, y, s_psd, s_lin, status, iters, gap_history):
         dobj=dobj,
         gap=gap,
         rel_gap=gap / (1.0 + abs(pobj)),
-        primal_infeas=float(np.abs(rp).max()) / (1.0 + np.abs(lay.b_full).max()),
-        dual_infeas=max(
-            float(np.abs(rd_lin).max()),
-            max((float(np.abs(r).max()) for r in rd_psd), default=0.0),
-        ) / 2.0,
+        primal_infeas=p_inf,
+        dual_infeas=d_inf,
         status=status,
         iterations=iters,
         gap_history=gap_history,
@@ -1136,20 +1123,23 @@ def kkt_residuals(problem: ConicProblem, solution: ConicSolution) -> KKTResidual
 
     With multipliers z_ii = -y on the unit-norm rows and z_ij, z_ji = -y on
     the two inequality-derived row families, these are (in order) the
-    stationarity product norm ``||X sum(...)||_F``, the two slack
-    complementarities, and the normalization complementarity
-    ``|q (1 - sum z)|``.  Expected to sit below ``10 * gap_tol`` at Optimal.
+    stationarity product norm ``||X S||_F`` for the X-block dual slack
+    ``S = -sum(...) + S_W1 - S_W2`` (the bound duals come from
+    ``bound_info`` when present), the two slack complementarities, and the
+    normalization complementarity ``|q (1 - sum z)|``.  Expected to sit
+    below ``10 * gap_tol`` at Optimal.
     """
     if problem.pair_pos_rows is None or problem.pair_neg_rows is None:
         raise ValueError("problem carries no pair-row labels; KKT residuals are defined for the coherence family")
     lay = _Layout(problem)
-    y_full = np.zeros(lay.k_total)
-    y_full[: lay.k_user] = solution.y
-    if "couple_y" in solution.bound_info:
-        y_full[lay.k_user :] = solution.bound_info["couple_y"]
-    dual_mat = -lay.adjoint_psd(y_full)[0] if lay.matrix_mode else None
-    if lay.diag_mode:
-        dual_mat = np.diag(-lay.adjoint_lin(y_full)[: lay.n_sigma])
+    dual_mat = None
+    if lay.matrix_mode:
+        dual_mat = -lay.adjoint_psd(solution.y)
+        info = solution.bound_info
+        if "upper_dual" in info:
+            dual_mat = dual_mat + info["upper_dual"] - info["lower_dual"]
+    elif lay.diag_mode:
+        dual_mat = np.diag(-lay.adjoint_lin(solution.y)[: lay.n_sigma])
     x_mat = solution.X
     stationarity = float(np.linalg.norm(x_mat @ dual_mat)) if dual_mat is not None else 0.0
 

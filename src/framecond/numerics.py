@@ -22,7 +22,6 @@ __all__ = [
     "cholesky",
     "sym_eig",
     "svd",
-    "least_squares",
 ]
 
 _ABS_FLOOR = 1e-14
@@ -103,19 +102,3 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NoConvergence(str(exc)) from exc
     return u, s, vt.T
 
-
-def least_squares(a, b) -> np.ndarray:
-    """Minimizer of ||a @ x - b||_2 for a matrix of full column rank.
-
-    The normal-equation residual a.T @ (a @ x - b) vanishes within
-    1e-9 * ||a|| * ||b||.  Raises RankDeficient when the smallest singular
-    value of ``a`` is below 1e-12 times the largest.
-    """
-    a = as_matrix(a, "a")
-    b = np.asarray(b, dtype=float)
-    if not np.isfinite(b).all():
-        raise ValueError("b contains NaN or Inf entries")
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=1e-12)
-    if rank < a.shape[1]:
-        raise RankDeficient(f"effective rank {rank} < {a.shape[1]} columns")
-    return x

@@ -201,3 +201,34 @@ class TestExitCodes:
         assert doc["config"] == {"command": "gen", "m": 3, "M": 7}
         assert doc["seed"] == 9
         assert "framecond" in doc["versions"]
+
+
+class TestReportEnvelope:
+    @pytest.mark.parametrize(
+        "command",
+        ["gen", "analyze", "precondition", "diag-lp", "tighten", "certify", "recover", "phase", "sweep"],
+    )
+    def test_every_report_shares_the_envelope(self, tmp_path, command, capsys):
+        phi, dh, sig = tmp_path / "phi.mat", tmp_path / "dh.mat", tmp_path / "y.mat"
+        report = tmp_path / "r.json"
+        run("gen", "--m", "4", "--M", "9", "--seed", "1", "--out", str(phi))
+        fr = frames.dirac_hadamard_frame(4)
+        cli.write_matrix(dh, fr.matrix)
+        cli.write_matrix(sig, fr.matrix[:, :1])
+        out = str(tmp_path / "out")
+        argv = {
+            "gen": ["--m", "3", "--M", "5", "--out", out],
+            "analyze": [str(phi)],
+            "precondition": [str(phi)],
+            "diag-lp": [str(phi)],
+            "tighten": [str(phi)],
+            "certify": [str(phi)],
+            "recover": [str(dh), str(sig)],
+            "phase": ["--M", "6", "--m-min", "3", "--m-max", "3", "--trials", "2", "--out", out],
+            "sweep": [str(phi), "--t2", "0.5", "--t1-max", "1.5", "--out", out],
+        }[command]
+        assert run(command, *argv, "--report", str(report)) == 0
+        doc = json.loads(report.read_text())
+        assert set(doc) == {"config", "seed", "frame_stats", "result", "solver", "versions"}
+        assert doc["config"]["command"] == command
+        assert doc["seed"] == 0

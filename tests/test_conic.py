@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,20 +14,50 @@ def seeded_frame(m, n_vectors=64):
     return frames.random_gaussian_frame(m, n_vectors, seed)
 
 
-def schur_rows_at(prob, iters):
-    """The Schur operator at the iterate a solve capped at ``iters`` returns."""
+def iterate_at(prob, iters):
+    """The PSD blocks (X, then W1 and W2 under bounds), their dual slacks and
+    the scalar pair (x, s) at the iterate a solve capped at ``iters`` returns."""
     sol = conic.solve(prob, conic.SolverSettings(max_iter=iters))
-    lay = conic._Layout(prob)
     xs, ss = [sol.X], [sol.dual_psd]
     if prob.eig_bounds is not None:
         info = sol.bound_info
         xs += [info["upper_slack"], info["lower_slack"]]
         ss += [info["upper_dual"], info["lower_dual"]]
-    chols = [np.linalg.cholesky(x) for x in xs]
-    t_mats = [np.linalg.inv(np.linalg.cholesky(s)).T for s in ss]
     x_lin = np.concatenate([[sol.q], sol.slacks, sol.extras])
     s_lin = np.concatenate([[sol.q_dual], sol.slack_duals, sol.extra_duals])
-    return conic._SchurRows(lay, chols, t_mats, np.sqrt((x_lin / s_lin)[lay.shared_idx]))
+    return sol, xs, ss, x_lin, s_lin
+
+
+def schur_rows_at(prob, iters):
+    """The Schur operator at the iterate a solve capped at ``iters`` returns."""
+    _, xs, ss, x_lin, s_lin = iterate_at(prob, iters)
+    lay = conic._Layout(prob)
+    r_mat, _ = conic._hkm_scaling(lay, xs, [np.linalg.cholesky(s) for s in ss])
+    return conic._SchurRows(lay, r_mat, np.sqrt((x_lin / s_lin)[lay.shared_idx]))
+
+
+def svec_basis(m):
+    """Q with orthonormal columns and ``Q svec(M) = vec(M)`` for symmetric M
+    (row-major vec, upper-triangle svec with off-diagonal entries times sqrt 2)."""
+    tri_r, tri_c = np.triu_indices(m)
+    q = np.zeros((m * m, len(tri_r)))
+    for j, (r, c) in enumerate(zip(tri_r, tri_c)):
+        w = 1.0 if r == c else np.sqrt(0.5)
+        q[r * m + c, j] = q[c * m + r, j] = w
+    return q
+
+
+def svec_rows(prob, q):
+    """svec(A_k) for every row, straight from the rank-two row data."""
+    u, v, alpha = prob.row_u, prob.row_v, prob.row_alpha
+    k, m = u.shape
+    vec = (u[:, :, None] * v[:, None, :] + v[:, :, None] * u[:, None, :]).reshape(k, m * m)
+    return (0.5 * alpha)[:, None] * vec @ q
+
+
+def hkm_block(q, x, s):
+    """``X (x)_s S^-1`` in svec coordinates, as ``Q^T (X kron S^-1) Q``."""
+    return q.T @ np.kron(x, np.linalg.inv(s)) @ q
 
 
 def coherence_of(mat):
@@ -131,14 +163,6 @@ class TestCoherenceProgram:
 
 
 class TestKKTModes:
-    def test_dense_woodbury_agree(self):
-        fr = frames.random_gaussian_frame(6, 20, 5)
-        prob = build_c1(fr)
-        dense = conic.solve(prob, conic.SolverSettings(kkt_mode="dense"))
-        wood = conic.solve(prob, conic.SolverSettings(kkt_mode="woodbury"))
-        assert dense.q == pytest.approx(wood.q, abs=1e-7)
-        assert np.abs(dense.X - wood.X).max() <= 1e-5
-
     def test_factor_solves_linear_system(self):
         # 10 unit-norm rows, independent in the 15-dimensional space of X
         prob = build_c1(frames.random_gaussian_frame(5, 10, 0))
@@ -155,7 +179,7 @@ class TestKKTModes:
             kkt = conic._KKTFactor(n, op, mode)
             got = kkt.solve(r)
             assert np.abs(got - expect).max() <= 1e-8 * np.abs(expect).max()
-            assert (kkt.fallbacks, kkt.ridges) == (0, 0)
+            assert kkt.ridges == 0
             r_bad = r.copy()
             r_bad[0] = np.nan
             with pytest.raises(ValueError, match="NaN or Inf"):
@@ -164,35 +188,15 @@ class TestKKTModes:
     def test_singular_system_counts_ridge(self):
         # without slack weights H = U U^T has rank at most width < k
         op = schur_rows_at(build_c1(frames.random_gaussian_frame(5, 10, 0)), 3)
-        kkt = conic._KKTFactor(np.zeros(op.lay.k_total), op, "dense")
+        kkt = conic._KKTFactor(np.zeros(op.lay.k), op, "dense")
         assert kkt.ridges == 1
 
 
-def explicit_schur_rows(prob, op):
-    """U built row by row from the problem data with _scaled_rows, sharing
-    no atom bookkeeping with the structured operators."""
-    m = prob.psd_dim
-    u, v, alpha = prob.row_u, prob.row_v, prob.row_alpha
-    blocks = [(u, v, alpha)]
-    if prob.eig_bounds is not None:
-        tri_r, tri_c = np.triu_indices(m)
-        eye = np.eye(m)
-        cu, cv = eye[tri_r], eye[tri_c]
-        zero_u, zero_a = np.zeros_like(u), np.zeros_like(alpha)
-        zero_c, one_c = np.zeros(len(tri_r)), np.ones(len(tri_r))
-        blocks = [
-            (np.vstack([u, cu, cu]), np.vstack([v, cv, cv]), np.r_[alpha, one_c, one_c]),
-            (np.vstack([zero_u, cu, cu]), np.vstack([zero_u, cv, cv]), np.r_[zero_a, one_c, zero_c]),
-            (np.vstack([zero_u, cu, cu]), np.vstack([zero_u, cv, cv]), np.r_[zero_a, zero_c, -one_c]),
-        ]
-    cols = [
-        conic._scaled_rows(bu, bv, ba, left, right)
-        for (bu, bv, ba), left, right in zip(blocks, op.chols, op.t_mats)
-    ]
-    return np.hstack(cols + [op.lay.shared * op.scale])
-
-
 class TestStructuredSchur:
+    """The svec Schur operator against U built row by row from the problem
+    data, and its scaling against ``Q^T (X kron S^-1) Q``; no atom or svec
+    bookkeeping is shared with ``_Layout``."""
+
     @pytest.mark.parametrize(
         "prob",
         [
@@ -202,10 +206,14 @@ class TestStructuredSchur:
     )
     def test_operators_match_explicit_rows(self, prob):
         prob = prob()
+        _, xs, ss, x_lin, s_lin = iterate_at(prob, 6)
         op = schur_rows_at(prob, 6)
-        u = explicit_schur_rows(prob, op)
+        q = svec_basis(prob.psd_dim)
+        d_ref = np.linalg.inv(sum(np.linalg.inv(hkm_block(q, x, s)) for x, s in zip(xs, ss)))
+        scale = np.sqrt(x_lin[0] / s_lin[0])      # the q column is the only shared one
+        u = np.hstack([svec_rows(prob, q) @ op.r_mat, scale * prob.row_q[:, None]])
         k = len(u)
-        assert u.shape == (k, op.width)
+        assert u.shape == (k, op.width) == (k, q.shape[1] + 1)
         rng = np.random.default_rng(7)
         damp = prob.slack_rows                      # the rows a Woodbury core weighs
         u_damp = op.restrict(damp)
@@ -216,12 +224,119 @@ class TestStructuredSchur:
         def rel(got, ref):
             return np.abs(got - ref).max() / np.abs(ref).max()
 
+        assert rel(op.r_mat @ op.r_mat.T, d_ref) <= 1e-10
         assert rel(u_damp.weighted_gram(weights), u[damp].T @ (weights[:, None] * u[damp])) <= 1e-12
         assert rel(op.matvec(t), u @ t) <= 1e-12
         assert rel(op.rmatvec(y), u.T @ y) <= 1e-12
         assert rel(u_damp.matvec(t), u[damp] @ t) <= 1e-12
         assert rel(u_damp.rmatvec(y[damp]), u[damp].T @ y[damp]) <= 1e-12
         assert rel(op.rows(np.arange(k)), u) <= 1e-12
+
+
+def full_hkm_direction(prob, xs, ss, x_lin, s_lin, y, rc_psd, rc_lin):
+    """Solve the full HKM Newton system of a coherence program, from its data.
+
+    Every PSD block b (X, and under bounds W1 = t1 I - X and W2 = X - t2 I)
+    has its own primal and dual step.  Bounds tie the blocks by explicit
+    coupling rows ``X + W1 = t1 I`` and ``X - W2 = t2 I`` with one multiplier
+    per row, taken at ``-svec(S_W1)`` and ``svec(S_W2)``: that zeroes the
+    W-block dual residuals and leaves the whole dual residual on X.  The
+    unknowns are dX_b, dx_lin, dy, the coupling multiplier steps, dS_b and
+    ds_lin.  Returns ``(dX_b, dy, dS_b)`` in svec coordinates, the residuals
+    and the svec basis.  At 12 x 64 the system has about 12800 unknowns, so
+    it is stored sparse.
+    """
+    sp = pytest.importorskip("scipy.sparse")
+    spla = pytest.importorskip("scipy.sparse.linalg")
+    m, k = prob.psd_dim, prob.n_rows
+    q = svec_basis(m)
+    nt = q.shape[1]
+    a_s = sp.csr_matrix(svec_rows(prob, q))
+    n_lin = len(x_lin)
+    b_lin = np.zeros((k, n_lin))
+    b_lin[:, 0] = prob.row_q
+    b_lin[prob.slack_rows, 1 + np.arange(prob.slack_count)] = prob.slack_coefs
+    b_lin = sp.csr_matrix(b_lin)
+    n_blk = len(xs)
+    signs = [1.0, -1.0, 1.0][:n_blk]     # the sign of X in each block
+
+    def svec(mat):
+        return q.T @ mat.ravel()
+
+    # residuals at the iterate
+    rp = prob.rhs - a_s @ svec(xs[0]) - b_lin @ x_lin
+    rd_x = -(a_s.T @ y + sum(sg * svec(s) for sg, s in zip(signs, ss)))
+    rd_lin = np.r_[1.0, np.zeros(n_lin - 1)] - s_lin - b_lin.T @ y
+    # column blocks: dX_b, dx_lin, dy, coupling steps (one per bound block), dS_b, ds_lin
+    sizes = [nt] * n_blk + [n_lin, k] + [nt] * (n_blk - 1) + [nt] * n_blk + [n_lin]
+    c_xl, c_y = n_blk, n_blk + 1
+    c_s = 2 * n_blk + 1
+    eye = sp.identity(nt)
+    rows, rhs = [], []
+
+    def add(entries, value):
+        row = [None] * len(sizes)
+        for col, mat in entries.items():
+            row[col] = mat
+        rows.append(row)
+        rhs.append(value)
+
+    add({0: a_s, c_xl: b_lin}, rp)
+    for b in range(1, n_blk):            # coupling rows: X - sign_b W_b = const
+        add({0: eye, b: -signs[b] * eye}, np.zeros(nt))
+    add({c_y: a_s.T, c_s: eye, **{c_y + b: eye for b in range(1, n_blk)}}, rd_x)
+    for b in range(1, n_blk):            # W-block dual rows
+        add({c_y + b: -signs[b] * eye, c_s + b: eye}, np.zeros(nt))
+    add({c_y: b_lin.T, len(sizes) - 1: sp.identity(n_lin)}, rd_lin)
+    for b in range(n_blk):               # dX_b + (X_b (x)_s S_b^-1) dS_b = svec(rc_b S_b^-1)
+        add({b: eye, c_s + b: sp.csr_matrix(hkm_block(q, xs[b], ss[b]))},
+            svec(rc_psd[b] @ np.linalg.inv(ss[b])))
+    add({c_xl: sp.diags(s_lin), len(sizes) - 1: sp.diags(x_lin)}, rc_lin)
+    sol = np.split(spla.spsolve(sp.bmat(rows, format="csc"), np.concatenate(rhs)), np.cumsum(sizes)[:-1])
+    return sol[:n_blk], sol[c_y], sol[c_s : c_s + n_blk], (rp, rd_x, rd_lin), q
+
+
+class TestSvecDirection:
+    @pytest.mark.parametrize(
+        "prob",
+        [
+            pytest.param(lambda: build_c1(seeded_frame(12)), id="c1-12x64"),
+            pytest.param(lambda: build_c2(seeded_frame(12), 2.0, 0.5), id="c2-12x64"),
+        ],
+    )
+    def test_matches_full_kkt_system(self, prob):
+        # the svec direction, with bound blocks folded into one scaling, is a
+        # block elimination of the full system with explicit coupling rows
+        prob = prob()
+        sol, xs, ss, x_lin, s_lin = iterate_at(prob, 8)
+        assert sol.status == conic.SolverStatus.MAX_ITER
+        # the iterates are feasible up to rounding; a small push off both
+        # affine sets gives every residual term of the system a weight
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal((12, 12))
+        ss[0] = ss[0] + 1e-4 * noise @ noise.T
+        x_lin = x_lin * (1.0 + 1e-2 * rng.uniform(size=len(x_lin)))
+        y = sol.y + 1e-4 * rng.standard_normal(len(sol.y))
+        mu = (sum(np.tensordot(x, s) for x, s in zip(xs, ss)) + x_lin @ s_lin) / (12 * len(xs) + len(x_lin))
+        rc_psd = [0.3 * mu * np.eye(12) - x @ s for x, s in zip(xs, ss)]
+        rc_lin = 0.3 * mu - x_lin * s_lin
+        d_x, d_y, d_s, (rp, rd_x, rd_lin), q = full_hkm_direction(
+            prob, xs, ss, x_lin, s_lin, y, rc_psd, rc_lin
+        )
+        lay = conic._Layout(prob)
+        newton = conic._Newton(
+            lay, xs, x_lin, s_lin, [np.linalg.cholesky(s) for s in ss],
+            (rp, (q @ rd_x).reshape(12, 12), rd_lin),
+        )
+        dx_psd, _, dy, ds_psd, _ = newton.direction(rc_psd, rc_lin)
+
+        def rel(got, ref):
+            return np.abs(got - ref).max() / np.abs(ref).max()
+
+        assert rel(dy, d_y) <= 1e-8
+        for b in range(len(xs)):
+            assert rel(q.T @ dx_psd[b].ravel(), d_x[b]) <= 1e-8
+            assert rel(q.T @ ds_psd[b].ravel(), d_s[b]) <= 1e-8
 
 
 class TestKKTResiduals:
@@ -268,6 +383,20 @@ class TestKKTResiduals:
             assert res.normalization == pytest.approx(abs(sol.q * (1 - t * z_sum)), abs=1e-9)
         assert base.normalization <= 1e-6
 
+    def test_bounded_optimum_reads_bound_duals(self):
+        # with 0.7 I <= X <= 1.3 I active at the optimum, the X-block dual
+        # slack is -A^T y + S_W1 - S_W2: without the bound duals from
+        # bound_info the stationarity product is far from zero
+        prob = build_c2(frames.random_gaussian_frame(4, 9, 13), 1.3, 0.7)
+        sol = conic.solve(prob, TIGHT)
+        assert sol.status == conic.SolverStatus.OPTIMAL
+        res = conic.kkt_residuals(prob, sol)
+        for value in (res.stationarity, res.pos_complementarity,
+                      res.neg_complementarity, res.normalization):
+            assert value <= 1e-5
+        bare = conic.kkt_residuals(prob, replace(sol, bound_info={}))
+        assert bare.stationarity >= 1e-3
+
     def test_requires_labels(self):
         prob = one_variable_lp()
         sol = conic.solve(prob, TIGHT)
@@ -303,6 +432,27 @@ class TestEigenvalueBounds:
         sol = conic.solve(prob, TIGHT)
         eig = np.linalg.eigvalsh(sol.X)
         assert eig[0] >= 0.5 - 1e-6 and eig[-1] <= 2.0 + 1e-6
+
+    @pytest.mark.parametrize("width", [1e-6, 1e-9])
+    @pytest.mark.parametrize(
+        "make_frame",
+        [lambda: frames.random_gaussian_frame(4, 9, 13), lambda: seeded_frame(12)],
+        ids=["4x9", "12x64"],
+    )
+    def test_narrow_box_correct_or_flagged(self, make_frame, width):
+        # boxes just wider than the 1e-12 pin threshold stay on the
+        # interior-point path: a correct Optimal or an explicit failure
+        fr = make_frame()
+        t1, t2 = 1.0 + 0.5 * width, 1.0 - 0.5 * width
+        sol = conic.solve(build_c2(fr, t1, t2), TIGHT)
+        assert "pinned" not in sol.bound_info
+        if sol.status != conic.SolverStatus.OPTIMAL:
+            assert sol.status in (conic.SolverStatus.MAX_ITER, conic.SolverStatus.NUMERICAL_FAILURE)
+            return
+        eig = np.linalg.eigvalsh(sol.X)
+        assert eig[0] >= t2 - 1e-12 and eig[-1] <= t1 + 1e-12
+        unbounded = conic.solve(build_c1(fr), TIGHT).q
+        assert unbounded - 1e-7 <= sol.q <= coherence_of(fr.matrix) + 1e-7
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):

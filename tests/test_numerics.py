@@ -90,33 +90,6 @@ class TestSVD:
         assert (np.diff(s) <= 0).all() and (s >= 0).all()
 
 
-class TestLeastSquares:
-    def test_identity(self):
-        b = np.array([1.0, -2.0, 3.0])
-        assert np.allclose(numerics.least_squares(np.eye(3), b), b)
-
-    def test_overdetermined_consistent(self):
-        rng = np.random.default_rng(6)
-        a = rng.standard_normal((9, 4))
-        x0 = rng.standard_normal(4)
-        x = numerics.least_squares(a, a @ x0)
-        assert np.linalg.norm(x - x0) <= 1e-9
-
-    def test_normal_equations_residual(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((8, 3))
-        b = rng.standard_normal(8)
-        x = numerics.least_squares(a, b)
-        lhs = a.T @ (a @ x - b)
-        assert np.abs(lhs).max() <= 1e-9 * np.linalg.norm(a) * np.linalg.norm(b)
-
-    def test_duplicated_column(self):
-        rng = np.random.default_rng(8)
-        col = rng.standard_normal((5, 1))
-        with pytest.raises(numerics.RankDeficient):
-            numerics.least_squares(np.hstack([col, col]), rng.standard_normal(5))
-
-
 def test_factorization_contracts_random_sweep():
     # reconstruction bounds hold across 1000 seeded instances up to size 64
     rng = np.random.default_rng(123)
