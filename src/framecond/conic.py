@@ -9,8 +9,7 @@ The family solved here is
 
 where every coefficient matrix A_k is a symmetrized rank-two outer product
 ``alpha_k (u_k v_k^T + v_k u_k^T) / 2`` and each slack variable appears in
-exactly one row.  Linear programs are the special cases where X is
-constrained diagonal (its diagonal joins the nonnegative scalars) or absent.
+exactly one row.  Linear programs are the special case ``psd_dim == 0``.
 
 The solver follows the central path with the HKM direction and a Mehrotra
 predictor-corrector step, fraction-to-boundary 0.98.  Iterates stay strictly
@@ -19,11 +18,10 @@ is ``N + U U^T`` with N diagonal (slack columns).  The X block enters U in
 svec coordinates (the upper triangle, off-diagonal entries scaled by sqrt 2):
 with the HKM scaling ``D = X (x)_s S^-1``, the symmetric Kronecker product of
 order m(m+1)/2, factored as ``D = R R^T``, row k of U is
-``svec(A_k)^T R``, followed by the shared scalar columns (q, a diagonal X,
-extras) scaled by ``sqrt(x / s)``.  The system is solved densely or, for
-large row counts, by block elimination of the slack-bearing rows through the
-Woodbury identity; both paths are exact and polished by iterative
-refinement.
+``svec(A_k)^T R``, followed by the shared scalar columns (q, extras) scaled
+by ``sqrt(x / s)``.  The system is solved densely or, for large row counts,
+by block elimination of the slack-bearing rows through the Woodbury
+identity; both paths are exact and polished by iterative refinement.
 
 The Woodbury path never forms U.  The row vectors u_k, v_k are drawn from a
 small dictionary of distinct atoms (the frame's columns), so each row is a
@@ -48,6 +46,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.lapack import dpstrf
 
 __all__ = [
     "SolverStatus",
@@ -58,6 +57,9 @@ __all__ = [
     "solve",
     "kkt_residuals",
 ]
+
+# fraction of the distance to the cone boundary that a step may cover
+STEP_FRACTION = 0.98
 
 
 class SolverStatus:
@@ -71,8 +73,6 @@ class SolverSettings:
     gap_tol: float = 1e-7
     feas_tol: float = 1e-7
     max_iter: int = 200
-    step_fraction: float = 0.98
-    verbose: bool = False
 
 
 @dataclass
@@ -82,9 +82,10 @@ class ConicProblem:
     ``row_u``, ``row_v``, ``row_alpha`` give the rank-two matrix coefficient
     of each row (all-zero rows are fine); ``row_q`` the coefficient on q;
     ``slack_rows``/``slack_coefs`` place each exclusive slack; ``extras`` are
-    shared nonnegative columns with zero objective.  ``diag_rows``,
-    ``pair_pos_rows`` and ``pair_neg_rows`` are optional row labels used for
-    dual bookkeeping and KKT reporting.
+    shared nonnegative columns with zero objective.  With ``psd_dim == 0``
+    there is no matrix block and the instance is a linear program.
+    ``diag_rows``, ``pair_pos_rows`` and ``pair_neg_rows`` are optional row
+    labels used for dual bookkeeping and KKT reporting.
     """
 
     psd_dim: int
@@ -96,7 +97,6 @@ class ConicProblem:
     slack_rows: np.ndarray = None
     slack_coefs: np.ndarray = None
     extras: np.ndarray = None
-    diagonal: bool = False
     eig_bounds: tuple | None = None
     diag_rows: np.ndarray = None
     pair_pos_rows: np.ndarray = None
@@ -142,7 +142,7 @@ class ConicProblem:
             t1, t2 = self.eig_bounds
             if not (np.isfinite(t1) and np.isfinite(t2) and t1 >= t2 > 0):
                 raise ValueError(f"eigenvalue bounds need t1 >= t2 > 0 and finite, got {self.eig_bounds}")
-            if self.diagonal or m == 0:
+            if m == 0:
                 raise ValueError("eigenvalue bounds require a full matrix variable")
         for arr in (self.rhs, self.row_u, self.row_v, self.row_alpha, self.row_q, self.extras):
             if not np.isfinite(arr).all():
@@ -163,7 +163,7 @@ class ConicProblem:
 
 @dataclass
 class ConicSolution:
-    X: np.ndarray               # psd_dim x psd_dim (diagonal case included); None when psd_dim == 0
+    X: np.ndarray               # psd_dim x psd_dim; None when psd_dim == 0
     q: float
     slacks: np.ndarray
     extras: np.ndarray
@@ -199,11 +199,6 @@ class KKTResiduals:
 # --------------------------------------------------------------------------
 
 
-def _apply_rows_psd(u, v, alpha, x_mat):
-    """alpha_k * u_k^T X v_k for all rows."""
-    return alpha * np.einsum("km,km->k", u @ x_mat, v)
-
-
 def _sym(a):
     return 0.5 * (a + a.T)
 
@@ -231,20 +226,17 @@ def _lin_max_step(x, dx):
 
 
 class _Layout:
-    """Index bookkeeping for the flattened nonnegative scalar vector and,
-    for a full matrix X, its atom dictionary and svec coordinates."""
+    """Index bookkeeping for the flattened nonnegative scalar vector
+    ``[q, slacks, extras]`` and, for a matrix X, its atom dictionary and svec
+    coordinates."""
 
     def __init__(self, prob: ConicProblem):
         m = prob.psd_dim
         self.prob = prob
-        self.diag_mode = prob.diagonal and m > 0
-        self.matrix_mode = (not prob.diagonal) and m > 0
-        self.n_sigma = m if self.diag_mode else 0
+        self.matrix_mode = m > 0
         self.n_slack = prob.slack_count
         self.n_extra = prob.extra_count
-        self.q_pos = self.n_sigma
-        self.sl_off = self.n_sigma + 1
-        self.ex_off = self.sl_off + self.n_slack
+        self.ex_off = 1 + self.n_slack
         self.n_lin = self.ex_off + self.n_extra
         self.k = prob.n_rows
         self.bounds = prob.eig_bounds if self.matrix_mode else None
@@ -276,20 +268,15 @@ class _Layout:
                 pos[r[:, None], c] * nt + pos[c[:, None], r],
             )
 
-        # the scalar columns shared by all rows (q, diagonal X, extras) in the
-        # Schur factor's column order, and their positions in the scalar vector
+        # the scalar columns shared by all rows (q, extras) in the Schur
+        # factor's column order, and their positions in the scalar vector
         self.qcol = prob.row_q
         self.ext = prob.extras
-        sig = np.zeros((self.k, 0))
-        if self.diag_mode:
-            sig = self.sig_cols = prob.row_alpha[:, None] * prob.row_u * prob.row_v
-        self.shared = np.hstack([self.qcol[:, None], sig, self.ext])
-        self.shared_idx = np.concatenate(
-            [[self.q_pos], np.arange(self.n_sigma), np.arange(self.ex_off, self.n_lin)]
-        )
+        self.shared = np.hstack([self.qcol[:, None], self.ext])
+        self.shared_idx = np.concatenate([[0], np.arange(self.ex_off, self.n_lin)])
         self.b = prob.rhs
         self.c_lin = np.zeros(self.n_lin)
-        self.c_lin[self.q_pos] = 1.0
+        self.c_lin[0] = 1.0
 
     def blocks(self, x_mat):
         """The PSD blocks of the primal point whose matrix part is x_mat."""
@@ -329,11 +316,9 @@ class _Layout:
 
     def apply_lin(self, x_lin):
         """The scalar columns' contribution to every row."""
-        out = self.qcol * x_lin[self.q_pos]
-        if self.diag_mode:
-            out += self.sig_cols @ x_lin[: self.n_sigma]
+        out = self.qcol * x_lin[0]
         if self.n_slack:
-            out[self.prob.slack_rows] += self.prob.slack_coefs * x_lin[self.sl_off : self.ex_off]
+            out[self.prob.slack_rows] += self.prob.slack_coefs * x_lin[1 : self.ex_off]
         if self.n_extra:
             out += self.ext @ x_lin[self.ex_off :]
         return out
@@ -346,11 +331,9 @@ class _Layout:
 
     def adjoint_lin(self, y):
         out = np.zeros(self.n_lin)
-        if self.diag_mode:
-            out[: self.n_sigma] = self.sig_cols.T @ y
-        out[self.q_pos] = self.qcol @ y
+        out[0] = self.qcol @ y
         if self.n_slack:
-            out[self.sl_off : self.ex_off] = self.prob.slack_coefs * y[self.prob.slack_rows]
+            out[1 : self.ex_off] = self.prob.slack_coefs * y[self.prob.slack_rows]
         if self.n_extra:
             out[self.ex_off :] = self.ext.T @ y
         return out
@@ -635,7 +618,7 @@ class _Newton:
             raise np.linalg.LinAlgError("scalar scaling is not finite")
         n_diag = np.zeros(lay.k)
         if lay.n_slack:
-            n_diag[prob.slack_rows] = prob.slack_coefs**2 * d_lin[lay.sl_off : lay.ex_off]
+            n_diag[prob.slack_rows] = prob.slack_coefs**2 * d_lin[1 : lay.ex_off]
         self.kkt = _KKTFactor(n_diag, _SchurRows(lay, r_mat, np.sqrt(d_lin[lay.shared_idx])))
 
     def _d(self, vec):
@@ -702,17 +685,12 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
     free = np.setdiff1d(np.arange(k), prob.slack_rows)
     if len(free) < 2:
         return prob, np.zeros(0, dtype=int)
-    # Gram matrix of the free rows in (svec(A), q, extras) coordinates; a
-    # diagonal X sees only diag(A) = alpha u o v
+    # Gram matrix of the free rows in (svec(A), q, extras) coordinates
     u, v, a = prob.row_u[free], prob.row_v[free], prob.row_alpha[free]
-    if prob.diagonal:
-        sig = a[:, None] * u * v
-        gram = sig @ sig.T
-    else:
-        uu = u @ u.T
-        vv = v @ v.T
-        uv = u @ v.T
-        gram = 0.5 * np.outer(a, a) * (uu * vv + uv * uv.T)
+    uu = u @ u.T
+    vv = v @ v.T
+    uv = u @ v.T
+    gram = 0.5 * np.outer(a, a) * (uu * vv + uv * uv.T)
     gram += np.outer(prob.row_q[free], prob.row_q[free])
     if prob.extra_count:
         gram += prob.extras[free] @ prob.extras[free].T
@@ -760,31 +738,10 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
 
 
 def _pivoted_chol_dependents(gram):
-    """Indices whose pivot collapses during pivoted Cholesky of a Gram matrix."""
-    g = gram.copy()
-    n = len(g)
-    tol = 1e-12 * max(np.max(np.diag(g)), 1e-300)
-    perm = np.arange(n)
-    low = np.zeros((n, n))
-    dependent = []
-    for i in range(n):
-        d = np.diag(g)[i:].copy()
-        j = i + int(np.argmax(d))
-        if g[j, j] <= tol:
-            dependent.extend(perm[i:].tolist())
-            break
-        if j != i:
-            g[[i, j]] = g[[j, i]]
-            g[:, [i, j]] = g[:, [j, i]]
-            low[[i, j]] = low[[j, i]]
-            perm[[i, j]] = perm[[j, i]]
-        piv = np.sqrt(g[i, i])
-        low[i, i] = piv
-        if i + 1 < n:
-            row = (g[i + 1 :, i] - low[i + 1 :, :i] @ low[i, :i]) / piv
-            low[i + 1 :, i] = row
-            g[np.arange(i + 1, n), np.arange(i + 1, n)] -= row**2
-    return np.array(sorted(dependent), dtype=int)
+    """Indices whose pivot collapses during pivoted Cholesky of a Gram matrix
+    (pivots at most 1e-12 of the largest diagonal entry)."""
+    _, piv, rank, _ = dpstrf(gram, tol=1e-12 * np.max(np.diag(gram)), lower=1)
+    return np.sort(piv[rank:] - 1)
 
 
 # --------------------------------------------------------------------------
@@ -826,10 +783,10 @@ def _floor_slacks(lay: _Layout, x_mat, x_lin):
     if not lay.n_slack:
         return x_lin
     probe = x_lin.copy()
-    probe[lay.sl_off : lay.ex_off] = 0.0
+    probe[1 : lay.ex_off] = 0.0
     base = lay.apply(x_mat, probe)
     resid = lay.b[lay.prob.slack_rows] - base[lay.prob.slack_rows]
-    x_lin[lay.sl_off : lay.ex_off] = np.maximum(resid / lay.prob.slack_coefs, 0.1)
+    x_lin[1 : lay.ex_off] = np.maximum(resid / lay.prob.slack_coefs, 0.1)
     return x_lin
 
 
@@ -889,7 +846,7 @@ def _measure(lay: _Layout, x_mat, x_lin, y, s_psd, s_lin):
         float(np.abs(rd_lin).max()),
         float(np.abs(rd_mat).max()) if rd_mat is not None else 0.0,
     ) / 2.0
-    return (rp, rd_mat, rd_lin), gap, float(x_lin[lay.q_pos]), lay.dual_objective(y, s_psd), p_inf, d_inf
+    return (rp, rd_mat, rd_lin), gap, float(x_lin[0]), lay.dual_objective(y, s_psd), p_inf, d_inf
 
 
 def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
@@ -912,9 +869,6 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         residuals, gap, pobj, dobj, p_inf, d_inf = _measure(lay, x_mat, x_lin, y, s_psd, s_lin)
         rel_gap = gap / (1.0 + abs(pobj))
         gap_history.append(gap)
-        if settings.verbose:
-            print(f"  iter {iters:3d}  gap {gap:9.2e}  pobj {pobj:11.6f}  dobj {dobj:11.6f}  "
-                  f"pinf {p_inf:8.1e}  dinf {d_inf:8.1e}")
         merit = max(rel_gap, p_inf, d_inf, abs(pobj - dobj) / (1.0 + abs(pobj)))
         if merit < best_merit:
             best_merit = merit
@@ -950,24 +904,31 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
             break
         ridges += newton.kkt.ridges
 
+        def boundary_steps(dxp, dxl, dsp, dsl):
+            """Primal and dual step lengths that reach the cone boundary."""
+            a_p = min(
+                min((_psd_max_step(c, d) for c, d in zip(chols, dxp)), default=np.inf),
+                _lin_max_step(x_lin, dxl),
+            )
+            a_d = min(
+                min((_psd_max_step(c, d) for c, d in zip(s_chols, dsp)), default=np.inf),
+                _lin_max_step(s_lin, dsl),
+            )
+            return a_p, a_d
+
+        def gap_after(dxp, dxl, dsp, dsl, a_p, a_d):
+            return sum(
+                np.tensordot(xb + a_p * dxb, sb + a_d * dsb)
+                for xb, dxb, sb, dsb in zip(x_psd, dxp, s_psd, dsp)
+            ) + (x_lin + a_p * dxl) @ (s_lin + a_d * dsl)
+
         # predictor
         rc_psd = [-xb @ sb for xb, sb in zip(x_psd, s_psd)]
         rc_lin = -x_lin * s_lin
         dxp_a, dxl_a, dy_a, dsp_a, dsl_a = newton.direction(rc_psd, rc_lin)
-        ap = min(
-            min((_psd_max_step(chols[b], dxp_a[b]) for b in range(len(x_psd))), default=np.inf),
-            _lin_max_step(x_lin, dxl_a),
-            1.0,
-        )
-        ad = min(
-            min((_psd_max_step(s_chols[b], dsp_a[b]) for b in range(len(s_psd))), default=np.inf),
-            _lin_max_step(s_lin, dsl_a),
-            1.0,
-        )
-        gap_aff = sum(
-            np.tensordot(x_psd[b] + ap * dxp_a[b], s_psd[b] + ad * dsp_a[b])
-            for b in range(len(x_psd))
-        ) + (x_lin + ap * dxl_a) @ (s_lin + ad * dsl_a)
+        aff = (dxp_a, dxl_a, dsp_a, dsl_a, dy_a)
+        bp_a, bd_a = boundary_steps(*aff[:4])
+        gap_aff = gap_after(*aff[:4], min(bp_a, 1.0), min(bd_a, 1.0))
         sigma = min(max((gap_aff / gap) ** 3, 0.0), 0.99999)
 
         # corrector
@@ -977,34 +938,17 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         ]
         rc_lin = sigma * mu - x_lin * s_lin - dxl_a * dsl_a
         dx_psd, dx_lin, dy, ds_psd, ds_lin = newton.direction(rc_psd, rc_lin)
-
-        def max_steps(dxp, dxl, dsp, dsl):
-            a_p = settings.step_fraction * min(
-                min((_psd_max_step(chols[b], dxp[b]) for b in range(len(x_psd))), default=np.inf),
-                _lin_max_step(x_lin, dxl),
-            )
-            a_d = settings.step_fraction * min(
-                min((_psd_max_step(s_chols[b], dsp[b]) for b in range(len(s_psd))), default=np.inf),
-                _lin_max_step(s_lin, dsl),
-            )
-            return min(a_p, 1.0), min(a_d, 1.0)
-
-        def gap_after(dxp, dxl, dsp, dsl, a_p, a_d):
-            return sum(
-                np.tensordot(x_psd[b] + a_p * dxp[b], s_psd[b] + a_d * dsp[b])
-                for b in range(len(x_psd))
-            ) + (x_lin + a_p * dxl) @ (s_lin + a_d * dsl)
+        corr = (dx_psd, dx_lin, ds_psd, ds_lin, dy)
 
         # keep the complementarity gap monotone: asymmetric corrector steps,
         # then a common corrector step, then the pure affine direction whose
         # gap derivative is exactly -gap
-        corr = (dx_psd, dx_lin, ds_psd, ds_lin, dy)
-        aff = (dxp_a, dxl_a, dsp_a, dsl_a, dy_a)
-        ap, ad = max_steps(*corr[:4])
+        bp, bd = boundary_steps(*corr[:4])
+        ap, ad = min(STEP_FRACTION * bp, 1.0), min(STEP_FRACTION * bd, 1.0)
+        a_aff = min(STEP_FRACTION * min(bp_a, bd_a), 1.0)
         candidates = [(corr, ap, ad)]
         candidates += [(corr, min(ap, ad) * 0.8**k, min(ap, ad) * 0.8**k) for k in range(31)]
-        ap_f, ad_f = max_steps(*aff[:4])
-        candidates += [(aff, min(ap_f, ad_f) * 0.8**k, min(ap_f, ad_f) * 0.8**k) for k in range(31)]
+        candidates += [(aff, a_aff * 0.8**k, a_aff * 0.8**k) for k in range(31)]
         chosen = None
         for dirs, cand_p, cand_d in candidates:
             if gap_after(*dirs[:4], cand_p, cand_d) <= gap * (1.0 + 1e-12) + 1e-13:
@@ -1040,15 +984,10 @@ def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
     x_psd = lay.blocks(x_mat)
     _, gap, pobj, dobj, p_inf, d_inf = _measure(lay, x_mat, x_lin, y, s_psd, s_lin)
 
+    x_out = s_out = None
     if lay.matrix_mode:
         x_out = _sym(x_mat)
         s_out = _sym(s_psd[0])
-    elif lay.diag_mode:
-        x_out = np.diag(x_lin[: lay.n_sigma])
-        s_out = np.diag(s_lin[: lay.n_sigma])
-    else:
-        x_out = None
-        s_out = None
 
     bound_info = {}
     if lay.bounds is not None:
@@ -1062,12 +1001,12 @@ def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
     return ConicSolution(
         X=x_out,
         q=pobj,
-        slacks=x_lin[lay.sl_off : lay.ex_off].copy(),
+        slacks=x_lin[1 : lay.ex_off].copy(),
         extras=x_lin[lay.ex_off :].copy(),
         y=y.copy(),
         dual_psd=s_out,
-        q_dual=float(s_lin[lay.q_pos]),
-        slack_duals=s_lin[lay.sl_off : lay.ex_off].copy(),
+        q_dual=float(s_lin[0]),
+        slack_duals=s_lin[1 : lay.ex_off].copy(),
         extra_duals=s_lin[lay.ex_off :].copy(),
         pobj=pobj,
         dobj=dobj,
@@ -1085,7 +1024,7 @@ def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
 def _solve_pinned(problem: ConicProblem, settings: SolverSettings, t_pin: float) -> ConicSolution:
     """Bounds with t1 == t2 leave X = t_pin * I as the only matrix choice;
     substitute it and solve the remaining LP over (q, slacks, extras)."""
-    fixed = _apply_rows_psd(problem.row_u, problem.row_v, problem.row_alpha, t_pin * np.eye(problem.psd_dim))
+    fixed = problem.row_alpha * np.einsum("km,km->k", t_pin * problem.row_u, problem.row_v)
     rhs = problem.rhs - fixed
     has_var = (problem.row_q != 0) | (np.abs(problem.extras).sum(axis=1) > 0)
     has_var[problem.slack_rows] = True
@@ -1125,23 +1064,23 @@ def kkt_residuals(problem: ConicProblem, solution: ConicSolution) -> KKTResidual
     the two inequality-derived row families, these are (in order) the
     stationarity product norm ``||X S||_F`` for the X-block dual slack
     ``S = -sum(...) + S_W1 - S_W2`` (the bound duals come from
-    ``bound_info`` when present), the two slack complementarities, and the
-    normalization complementarity ``|q (1 - sum z)|``.  Expected to sit
-    below ``10 * gap_tol`` at Optimal.
+    ``bound_info`` when present; without a matrix block it is
+    ``||w o s||`` over the extras w with ``s = -E^T y``), the two slack
+    complementarities, and the normalization complementarity
+    ``|q (1 - sum z)|``.  Expected to sit below ``10 * gap_tol`` at Optimal.
     """
     if problem.pair_pos_rows is None or problem.pair_neg_rows is None:
         raise ValueError("problem carries no pair-row labels; KKT residuals are defined for the coherence family")
     lay = _Layout(problem)
-    dual_mat = None
     if lay.matrix_mode:
         dual_mat = -lay.adjoint_psd(solution.y)
         info = solution.bound_info
         if "upper_dual" in info:
             dual_mat = dual_mat + info["upper_dual"] - info["lower_dual"]
-    elif lay.diag_mode:
-        dual_mat = np.diag(-lay.adjoint_lin(solution.y)[: lay.n_sigma])
-    x_mat = solution.X
-    stationarity = float(np.linalg.norm(x_mat @ dual_mat)) if dual_mat is not None else 0.0
+        stationarity = float(np.linalg.norm(solution.X @ dual_mat))
+    else:
+        extra_dual = -lay.adjoint_lin(solution.y)[lay.ex_off :]
+        stationarity = float(np.linalg.norm(solution.extras * extra_dual))
 
     z_pos = -solution.y[problem.pair_pos_rows]
     z_neg = -solution.y[problem.pair_neg_rows]

@@ -116,11 +116,11 @@ def coherence_table(
     return rows
 
 
-def _decode(decoder: str, a, y, k: int):
+def _decode(decoder: str, a, y, k: int, settings: conic.SolverSettings | None):
     if decoder == "omp":
         return recovery.omp(a, y, k)
     if decoder == "bp":
-        return recovery.basis_pursuit(a, y)
+        return recovery.basis_pursuit(a, y, settings)
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
@@ -139,12 +139,17 @@ def phase_diagram(
     preconditioner) is drawn per m and shared across the sparsity column and
     all trials, so pipelines are compared on identical frames; each trial
     replants the support and coefficients from its own generator.
+
+    ``settings`` drive both the preconditioner solves and the basis-pursuit
+    decodes.  When it is None, the preconditioners are solved at 1e-6 and
+    the decodes keep :func:`recovery.basis_pursuit`'s own tighter default.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     m_grid = [int(m) for m in m_grid]
     if any(m < 1 or m > n_vectors for m in m_grid):
         raise ValueError("every m must satisfy 1 <= m <= M")
+    decode_settings = settings
     if settings is None:
         settings = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
     s_max = max(m_grid)
@@ -167,7 +172,7 @@ def phase_diagram(
                 x[support] = rng.standard_normal(s)
                 y = sensing @ x
                 try:
-                    rec = _decode(decoder, sensing, y, s)
+                    rec = _decode(decoder, sensing, y, s, decode_settings)
                 except (recovery.Infeasible, RuntimeError):
                     continue   # a failed decode counts as a miss
                 err = np.linalg.norm(rec.estimate - x) / np.linalg.norm(x)

@@ -194,11 +194,11 @@ def build_c2(frame: Frame, t1: float, t2: float) -> conic.ConicProblem:
     return prob
 
 
-def _finish(frame: Frame, sol: conic.ConicSolution, tau: float) -> PreconditionResult:
+def _finish(frame: Frame, sol: conic.ConicSolution, x: np.ndarray, tau: float) -> PreconditionResult:
     phi = frame.matrix
     big_m = phi.shape[1]
     n_pairs = big_m * (big_m - 1) // 2
-    g, jitter = extract_preconditioner(sol.X)
+    g, jitter = extract_preconditioner(x)
     if jitter > 0.0:
         warnings.warn(
             f"optimal X is nearly singular; Cholesky jittered by {jitter:.2e}",
@@ -207,7 +207,7 @@ def _finish(frame: Frame, sol: conic.ConicSolution, tau: float) -> PreconditionR
         )
     mapped = g @ phi
     verified = coherence(Frame(mapped))
-    pos, neg = active_sets(frame, sol.X, sol.q, tau)
+    pos, neg = active_sets(frame, x, sol.q, tau)
     duals = {
         "z_ii": -sol.y[:big_m],
         "z_ij": -sol.y[big_m : big_m + n_pairs],
@@ -215,7 +215,7 @@ def _finish(frame: Frame, sol: conic.ConicSolution, tau: float) -> PreconditionR
     }
     sing = np.linalg.svd(g, compute_uv=False)
     return PreconditionResult(
-        X=sol.X,
+        X=x,
         G=g,
         q=sol.q,
         verified_coherence=verified,
@@ -239,7 +239,7 @@ def solve_coherence(
     frame = _require_unit_norm(frame)
     prob = build_c2(frame, *bounds) if bounds is not None else build_c1(frame)
     sol = conic.solve(prob, settings)
-    return _finish(frame, sol, active_tol)
+    return _finish(frame, sol, sol.X, active_tol)
 
 
 def diagonal_lp(
@@ -249,16 +249,26 @@ def diagonal_lp(
 ) -> PreconditionResult:
     """Coherence minimization over diagonal X only (a linear program).
 
-    The interior-point iterates keep every diagonal entry strictly positive,
-    so the optimal scaling is always invertible up to boundary jitter.
+    X = diag(x) contributes ``alpha_k sum_i x_i u_ki v_ki`` to row k of
+    ``build_c1``, so x enters as m nonnegative scalar columns
+    ``alpha_k u_k o v_k`` beside q and the slacks.  The interior-point
+    iterates keep every x_i strictly positive, so the optimal scaling is
+    always invertible up to boundary jitter.
     """
     frame = _require_unit_norm(frame)
-    prob = build_c1(frame)
-    prob.diagonal = True
-    prob.primal_start = None   # the matrix start does not apply in diagonal mode
-    prob.dual_start = None
+    c1 = build_c1(frame)
+    prob = conic.ConicProblem(
+        psd_dim=0,
+        rhs=c1.rhs,
+        row_q=c1.row_q,
+        slack_rows=c1.slack_rows,
+        extras=c1.row_alpha[:, None] * c1.row_u * c1.row_v,
+        diag_rows=c1.diag_rows,
+        pair_pos_rows=c1.pair_pos_rows,
+        pair_neg_rows=c1.pair_neg_rows,
+    )
     sol = conic.solve(prob, settings)
-    return _finish(frame, sol, active_tol)
+    return _finish(frame, sol, np.diag(sol.extras), active_tol)
 
 
 def squared_span_dimension(frame: Frame) -> int:

@@ -67,16 +67,13 @@ def coherence_of(mat):
 
 
 def one_variable_lp():
-    # min q subject to sigma = 1 and sigma - q + p = 0 with p >= 0
+    # min q subject to w = 1 and w - q + p = 0 with w, p >= 0
     return conic.ConicProblem(
-        psd_dim=1,
-        diagonal=True,
+        psd_dim=0,
         rhs=np.array([1.0, 0.0]),
-        row_u=np.ones((2, 1)),
-        row_v=np.ones((2, 1)),
-        row_alpha=np.ones(2),
         row_q=np.array([0.0, -1.0]),
         slack_rows=np.array([1]),
+        extras=np.ones((2, 1)),
     )
 
 
@@ -85,7 +82,7 @@ class TestLinearProgram:
         sol = conic.solve(one_variable_lp(), TIGHT)
         assert sol.status == conic.SolverStatus.OPTIMAL
         assert sol.q == pytest.approx(1.0, abs=1e-7)
-        assert sol.X[0, 0] == pytest.approx(1.0, abs=1e-7)
+        assert sol.extras[0] == pytest.approx(1.0, abs=1e-7)
 
     def test_strong_duality(self):
         sol = conic.solve(one_variable_lp(), TIGHT)
@@ -160,6 +157,34 @@ class TestCoherenceProgram:
         assert sol.status == conic.SolverStatus.OPTIMAL
         assert sol.q == pytest.approx(1.0, abs=1e-6)
         assert len(sol.y) == build_c1(frames.Frame(mat)).n_rows
+
+
+class TestPresolve:
+    """``_pivoted_chol_dependents`` on the Gram matrix of rows with planted
+    dependencies: the kept rows are independent and span the dropped ones."""
+
+    @pytest.mark.parametrize("plant", ["duplicate", "sum", "zero"])
+    def test_kept_rows_span_dropped_rows(self, plant):
+        rng = np.random.default_rng(3)
+        rows = np.zeros((10, 12))
+        rows[:7] = rng.standard_normal((7, 12))
+        if plant == "duplicate":
+            rows[7:] = rows[[1, 4, 1]]
+        elif plant == "sum":
+            rows[7] = rows[0] + rows[2] + rows[5]
+            rows[8] = rows[3] + rows[7]
+            rows[9] = rows[1] + rows[6]
+        else:
+            rows[:] = 0.0
+        gram = rows @ rows.T
+        dropped = conic._pivoted_chol_dependents(gram)
+        kept = np.setdiff1d(np.arange(len(rows)), dropped)
+        rank = np.linalg.matrix_rank(gram)
+        assert rank == (0 if plant == "zero" else 7)
+        assert len(kept) == np.linalg.matrix_rank(rows[kept]) == rank
+        basis = rows[kept].T
+        coef = np.linalg.lstsq(basis, rows[dropped].T, rcond=None)[0]
+        assert np.abs(basis @ coef - rows[dropped].T).max() <= 1e-10
 
 
 class TestKKTModes:

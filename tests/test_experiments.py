@@ -81,6 +81,13 @@ class TestPhaseDiagram:
         # allow a one-trial fluctuation between neighbouring sparsities
         assert (np.diff(rates) <= 1.0 / 50 + 1e-12).all()
 
+    def test_settings_reach_basis_pursuit(self):
+        # one interior-point iteration decodes nothing, so every rate is zero
+        # when the caller's settings reach the basis-pursuit solves
+        diagram = experiments.phase_diagram(8, [4], trials=3, seed=0, pipeline="phi", decoder="bp",
+                                            settings=conic.SolverSettings(max_iter=1))
+        assert (diagram.success_rate[0, :4] == 0.0).all()
+
     def test_pipelines_share_frames(self):
         # identical seeds draw identical frames, so the s = 1 column agrees
         a = experiments.phase_diagram(8, [3], trials=5, seed=11, pipeline="phi",

@@ -107,28 +107,29 @@ class TestDiagonalLP:
         res = pc.diagonal_lp(sign_pattern_frame, SET8)
         assert (np.diag(res.X) > 0).all()
 
-    def test_presolve_drops_unit_norm_rows_seen_by_diagonal(self):
-        # a diagonal X sees only the squared columns, which span R^12: 52 of
-        # the 64 unit-norm rows are implied and go, so the Woodbury path has
-        # a nonsingular free block
+    @pytest.mark.parametrize("m", [8, 12, 30])
+    def test_presolve_drops_unit_norm_rows_seen_by_diagonal(self, m):
+        # a diagonal X sees only the squared columns, which span R^m: 64 - m
+        # of the 64 unit-norm rows are implied and go, so the Woodbury path
+        # has a nonsingular free block
         linprog = pytest.importorskip("scipy.optimize").linprog
-        seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, 12, 0, 0).integers(2**63))
-        fr = frames.random_gaussian_frame(12, 64, seed)
+        seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, m, 0, 0).integers(2**63))
+        fr = frames.random_gaussian_frame(m, 64, seed)
         res = pc.diagonal_lp(fr, conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8))
         sol = res.solution
         assert sol.status == conic.SolverStatus.OPTIMAL
-        assert len(sol.dropped_rows) == 52
+        assert len(sol.dropped_rows) == 64 - m
         phi = fr.matrix
         iu, ju = np.triu_indices(64, k=1)
         pair = (phi[:, iu] * phi[:, ju]).T
         ones = np.ones((len(iu), 1))
         ref = linprog(
-            np.r_[np.zeros(12), 1.0],
+            np.r_[np.zeros(m), 1.0],
             A_ub=np.vstack([np.hstack([pair, -ones]), np.hstack([-pair, -ones])]),
             b_ub=np.zeros(2 * len(iu)),
             A_eq=np.hstack([(phi**2).T, np.zeros((64, 1))]),
             b_eq=np.ones(64),
-            bounds=[(0, None)] * 13,
+            bounds=[(0, None)] * (m + 1),
             method="highs",
         )
         assert ref.status == 0
