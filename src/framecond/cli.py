@@ -316,7 +316,8 @@ def _cmd_phase(args) -> int:
              "pipeline": args.pipeline, "decoder": args.decoder, "gap_tol": args.gap_tol},
             None,
             {"csv_path": args.out, "gnuplot_path": gp,
-             "m_grid": diagram.m_grid, "curve": diagram.curve.tolist()},
+             "m_grid": diagram.m_grid, "curve": diagram.curve.tolist(),
+             "failed_decodes": int(diagram.failed_decodes.sum())},
         )
     return 0
 

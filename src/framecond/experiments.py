@@ -59,6 +59,7 @@ class PhaseDiagram:
     seed: int
     success_rate: np.ndarray      # (len(m_grid), sparsity_max), NaN where s > m
     curve: np.ndarray             # per m: largest s with success rate >= 0.5
+    failed_decodes: np.ndarray    # shaped like success_rate: decodes not ending Optimal
 
     def rate(self, m: int, s: int) -> float:
         return float(self.success_rate[self.m_grid.index(m), s - 1])
@@ -116,11 +117,12 @@ def coherence_table(
     return rows
 
 
-def _decode(decoder: str, a, y, k: int, settings: conic.SolverSettings | None):
+def _decode_row(decoder: str, a, ys, sparsities, settings: conic.SolverSettings | None):
+    """One decode per row of ``ys``: basis pursuit as one batch, OMP per signal."""
     if decoder == "omp":
-        return recovery.omp(a, y, k)
+        return [recovery.omp(a, y, k) for y, k in zip(ys, sparsities)]
     if decoder == "bp":
-        return recovery.basis_pursuit(a, y, settings)
+        return recovery.basis_pursuit(a, ys, settings)
     raise ValueError(f"unknown decoder {decoder!r}")
 
 
@@ -138,7 +140,15 @@ def phase_diagram(
     One Gaussian frame (and, for the preconditioned pipelines, one
     preconditioner) is drawn per m and shared across the sparsity column and
     all trials, so pipelines are compared on identical frames; each trial
-    replants the support and coefficients from its own generator.
+    replants the support and coefficients from its own generator.  All
+    signals of one m are drawn first, in (s, trial) order, and basis pursuit
+    decodes them in one batched call; OMP decodes them one at a time.
+
+    A decode counts as a success when its relative l2 error is at most
+    ``SUCCESS_TOL``; a decode without an estimate (outside the column span,
+    or a numerical failure) is a miss.  ``failed_decodes`` counts, per cell,
+    the basis-pursuit decodes whose solve did not end ``Optimal``; a
+    ``MaxIter`` estimate among them is still scored by its error.
 
     ``settings`` drive both the preconditioner solves and the basis-pursuit
     decodes.  When it is None, the preconditioners are solved at 1e-6 and
@@ -154,6 +164,7 @@ def phase_diagram(
         settings = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
     s_max = max(m_grid)
     rates = np.full((len(m_grid), s_max), np.nan)
+    failed = np.zeros((len(m_grid), s_max), dtype=int)
     curve = np.zeros(len(m_grid), dtype=int)
     for row, m in enumerate(m_grid):
         frame_seed = trial_rng(seed, FRAME_STREAM, m, 0, 0).integers(2**63)
@@ -163,21 +174,21 @@ def phase_diagram(
         else:
             g = _preconditioner(frame, pipeline, settings)
         sensing = g @ frame.matrix
+        sparsities = np.repeat(np.arange(1, m + 1), trials)
+        xs = np.zeros((len(sparsities), n_vectors))
+        for i, s in enumerate(sparsities):
+            rng = trial_rng(seed, SIGNAL_STREAM, m, s, i % trials)   # i % trials: the trial
+            support = rng.choice(n_vectors, size=s, replace=False)
+            xs[i, support] = rng.standard_normal(s)
+        # one product per signal, as when each was decoded on its own; a
+        # single matrix product may round the measurements differently
+        ys = np.array([sensing @ x for x in xs])
+        recs = _decode_row(decoder, sensing, ys, sparsities, decode_settings)
+        errs = np.array([np.linalg.norm(r.estimate - x) / np.linalg.norm(x) for r, x in zip(recs, xs)])
+        bad = np.array([r.status not in (None, conic.SolverStatus.OPTIMAL) for r in recs])
+        rates[row, :m] = (errs <= SUCCESS_TOL).reshape(m, trials).sum(axis=1) / trials
+        failed[row, :m] = bad.reshape(m, trials).sum(axis=1)
         for s in range(1, m + 1):
-            wins = 0
-            for trial in range(trials):
-                rng = trial_rng(seed, SIGNAL_STREAM, m, s, trial)
-                support = rng.choice(n_vectors, size=s, replace=False)
-                x = np.zeros(n_vectors)
-                x[support] = rng.standard_normal(s)
-                y = sensing @ x
-                try:
-                    rec = _decode(decoder, sensing, y, s, decode_settings)
-                except (recovery.Infeasible, RuntimeError):
-                    continue   # a failed decode counts as a miss
-                err = np.linalg.norm(rec.estimate - x) / np.linalg.norm(x)
-                wins += err <= SUCCESS_TOL
-            rates[row, s - 1] = wins / trials
             curve[row] = s if rates[row, s - 1] >= 0.5 else curve[row]
     return PhaseDiagram(
         M=n_vectors,
@@ -189,6 +200,7 @@ def phase_diagram(
         seed=seed,
         success_rate=rates,
         curve=curve,
+        failed_decodes=failed,
     )
 
 

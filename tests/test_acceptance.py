@@ -238,7 +238,6 @@ def test_criterion_09_condition_sweep_plateau():
     print("ACCEPTANCE 9 PASS (plateau): sweep reaches the unconstrained optimum")
 
 
-@pytest.mark.slow
 def test_reference_row_30x64():
     # larger-m reference row, beyond the desk-scale criteria: mean optimized
     # coherence over 20 seeded 30 x 64 frames tracks the stored 0.2757

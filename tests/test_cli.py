@@ -146,6 +146,7 @@ class TestSubcommands:
         assert len(lines) == 1 + 3 + 4
         doc = json.loads(report.read_text())
         assert doc["result"]["csv_path"] == str(csv)
+        assert doc["result"]["failed_decodes"] == 0
 
     def test_table_csv(self, tmp_path):
         csv = tmp_path / "table.csv"

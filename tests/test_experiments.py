@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framecond import conic, experiments, frames
+from framecond import conic, experiments, frames, recovery
 
 FAST = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
 
@@ -56,6 +56,9 @@ class TestPhaseDiagram:
             assert np.isfinite(valid).all()
             assert ((0.0 <= valid) & (valid <= 1.0)).all()
             assert np.isnan(diagram.success_rate[i, m:]).all()
+        # OMP has no solver status, so no decode counts as failed
+        assert diagram.failed_decodes.shape == diagram.success_rate.shape
+        assert diagram.failed_decodes.dtype.kind == "i" and not diagram.failed_decodes.any()
 
     def test_curve_is_half_success_level(self):
         diagram = experiments.phase_diagram(10, [4], trials=10, seed=4,
@@ -87,6 +90,32 @@ class TestPhaseDiagram:
         diagram = experiments.phase_diagram(8, [4], trials=3, seed=0, pipeline="phi", decoder="bp",
                                             settings=conic.SolverSettings(max_iter=1))
         assert (diagram.success_rate[0, :4] == 0.0).all()
+        assert (diagram.failed_decodes[0, :4] == 3).all()   # each one MaxIter
+
+    def test_stalled_decode_is_reported(self, monkeypatch):
+        # at basis_pursuit's 1e-9 default the (s = 7, trial 7) LP of this
+        # 11 x 16 preconditioned row floors its primal residual above the
+        # tolerance: it must come back MaxIter and be counted, not be
+        # returned as Optimal or dropped
+        decoded = []
+        decode = recovery.basis_pursuit
+
+        def spy(a, ys, settings=None):
+            results = decode(a, ys, settings)
+            decoded.extend(zip(ys, results))
+            return results
+
+        monkeypatch.setattr(recovery, "basis_pursuit", spy)
+        diagram = experiments.phase_diagram(16, [11], trials=8, seed=1, pipeline="gphi", decoder="bp")
+        stalled = 6 * 8 + 7   # s = 7, trial 7 in (s, trial) order
+        statuses = [rec.status for _, rec in decoded]
+        assert statuses[stalled] == conic.SolverStatus.MAX_ITER
+        assert statuses.count(conic.SolverStatus.OPTIMAL) == len(statuses) - 1
+        y, rec = decoded[stalled]
+        assert rec.residual_norm <= 1e-6 * np.linalg.norm(y)
+        expected = np.zeros((1, 11), dtype=int)
+        expected[0, 6] = 1
+        assert (diagram.failed_decodes == expected).all()
 
     def test_pipelines_share_frames(self):
         # identical seeds draw identical frames, so the s = 1 column agrees

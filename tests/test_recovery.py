@@ -21,6 +21,7 @@ class TestOMP:
         assert res.estimate[5] == pytest.approx(2.0, abs=1e-10)
         assert res.iterations == 1
         assert res.residual_norm <= 1e-10
+        assert res.status is None
 
     def test_orthonormal_two_atoms_exact(self):
         fr = frames.Frame(np.eye(6))
@@ -112,6 +113,142 @@ class TestBasisPursuit:
             x, y = plant(fr, supp, rng.standard_normal(2) * (1.0 + rng.random(2)))
             rec = recovery.basis_pursuit(fr.matrix, y)
             assert np.linalg.norm(rec.estimate - x) / np.linalg.norm(x) <= 1e-4
+
+
+def _signals(n_vectors, m, trials, seed):
+    """``trials`` random signals for every sparsity s <= m, one per row."""
+    rng = np.random.default_rng(seed)
+    xs = np.zeros((m * trials, n_vectors))
+    for i in range(m * trials):
+        s = i // trials + 1
+        xs[i, rng.choice(n_vectors, s, replace=False)] = rng.standard_normal(s)
+    return xs
+
+
+class TestBatchedBasisPursuit:
+    def test_batch_matches_single_decodes(self):
+        fr = frames.random_gaussian_frame(8, 16, 21)
+        xs = _signals(16, 8, 3, 22)
+        ys = xs @ fr.matrix.T
+        batch = recovery.basis_pursuit(fr.matrix, ys)
+        assert len(batch) == len(ys)
+        for y, got in zip(ys, batch):
+            single = recovery.basis_pursuit(fr.matrix, y)
+            assert got.status == single.status == conic.SolverStatus.OPTIMAL
+            assert np.abs(got.estimate - single.estimate).max() <= 1e-8
+            assert got.support == single.support
+
+    def test_infeasible_member_flagged_others_intact(self):
+        a = np.array([[1.0, 0.0, 1.0, 2.0], [0.0, 1.0, 1.0, -1.0], [1.0, 1.0, 2.0, 1.0]])
+        x = np.array([0.0, 0.0, 1.5, 0.0])
+        ys = np.array([a @ x, [1.0, 1.0, 0.0], 2.0 * a[:, 3]])   # row 1 leaves the span
+        batch = recovery.basis_pursuit(a, ys)
+        assert batch[1].status == "Infeasible"
+        assert np.isnan(batch[1].estimate).all()
+        for i in (0, 2):
+            single = recovery.basis_pursuit(a, ys[i])
+            assert batch[i].status == single.status == conic.SolverStatus.OPTIMAL
+            assert np.abs(batch[i].estimate - single.estimate).max() <= 1e-8
+        assert np.abs(batch[0].estimate - x).max() <= 1e-6
+        with pytest.raises(recovery.Infeasible):
+            recovery.basis_pursuit(a, ys[1])
+
+    def test_rank_deficient_rows_go_to_the_conic_solver(self, monkeypatch):
+        fr = frames.random_gaussian_frame(5, 12, 23)
+        a = np.vstack([fr.matrix, fr.matrix[0] + fr.matrix[1]])   # 6 rows, rank 5
+        xs = _signals(12, 2, 3, 24)
+        ys = xs @ a.T
+        calls = []
+        solve = conic.solve
+
+        def counting(problem, settings):
+            calls.append(problem.n_rows)
+            return solve(problem, settings)
+
+        monkeypatch.setattr(conic, "solve", counting)
+        batch = recovery.basis_pursuit(a, ys)
+        assert calls == [len(a) + 1] * len(ys)
+        for x, rec in zip(xs, batch):
+            assert rec.status == conic.SolverStatus.OPTIMAL
+            assert np.linalg.norm(rec.estimate - x) <= 1e-6 * np.linalg.norm(x)
+
+    def test_singular_member_leaves_the_batch_alone(self, monkeypatch):
+        # make the first stacked factorization fail on its first member, as a
+        # singular normal matrix would: that member alone goes to the conic
+        # solver and the rest of the batch finishes in the kernel
+        fr = frames.random_gaussian_frame(6, 12, 27)
+        xs = _signals(12, 3, 2, 28)
+        ys = xs @ fr.matrix.T
+        expected = recovery.basis_pursuit(fr.matrix, ys)
+        cholesky = np.linalg.cholesky
+        injected = {}
+
+        def flaky(mat):
+            if mat.ndim == 3 and not injected:
+                injected["victim"] = mat[0].copy()
+                raise np.linalg.LinAlgError("injected")
+            if mat.ndim == 2 and np.array_equal(mat, injected.get("victim")):
+                raise np.linalg.LinAlgError("injected")
+            return cholesky(mat)
+
+        calls = []
+        solve = conic.solve
+
+        def counting(problem, settings):
+            calls.append(problem.n_rows)
+            return solve(problem, settings)
+
+        monkeypatch.setattr(np.linalg, "cholesky", flaky)
+        monkeypatch.setattr(conic, "solve", counting)
+        batch = recovery.basis_pursuit(fr.matrix, ys)
+        assert injected and len(calls) == 1
+        for want, got in zip(expected, batch):
+            assert got.status == want.status == conic.SolverStatus.OPTIMAL
+            assert np.abs(got.estimate - want.estimate).max() <= 1e-6
+
+    def test_unconverged_members_are_resolved_alone(self, monkeypatch):
+        fr = frames.random_gaussian_frame(6, 12, 25)
+        xs = _signals(12, 3, 2, 26)
+        ys = xs @ fr.matrix.T
+        settings = conic.SolverSettings(gap_tol=1e-9, feas_tol=1e-9, max_iter=2)
+        calls = []
+        solve = conic.solve
+
+        def counting(problem, settings):
+            sol = solve(problem, settings)
+            calls.append(sol.status)
+            return sol
+
+        monkeypatch.setattr(conic, "solve", counting)
+        batch = recovery.basis_pursuit(fr.matrix, ys, settings)
+        # two steps converge nothing: every member is re-solved, with the
+        # same settings, and keeps the conic solver's status
+        assert [rec.status for rec in batch] == calls == [conic.SolverStatus.MAX_ITER] * len(ys)
+        assert all(rec.iterations == 2 for rec in batch)
+
+    def test_matches_highs(self):
+        # HiGHS is the independent oracle; scipy.optimize is imported here
+        # only, so the library's import time does not pay for it
+        from scipy.optimize import linprog
+
+        checked = 0
+        for m in (4, 8, 12):
+            fr = frames.random_gaussian_frame(m, 16, 30 + m)
+            g = solve_coherence(fr, SET8).G
+            xs = _signals(16, m, 5, 40 + m)
+            for sensing in (fr.matrix, g @ fr.matrix):
+                ys = xs @ sensing.T
+                for y, rec in zip(ys, recovery.basis_pursuit(sensing, ys)):
+                    if rec.status != conic.SolverStatus.OPTIMAL:
+                        continue
+                    ref = linprog(np.ones(32), A_eq=np.hstack([sensing, -sensing]), b_eq=y,
+                                  bounds=(0, None), method="highs")
+                    assert ref.status == 0
+                    l1 = np.abs(rec.estimate).sum()
+                    assert abs(l1 - ref.fun) <= 1e-6 * ref.fun, (m, l1, ref.fun)
+                    assert rec.residual_norm <= 1e-6 * np.linalg.norm(y)
+                    checked += 1
+        assert checked >= 0.95 * 2 * 5 * (4 + 8 + 12)
 
 
 class TestAgreement:
