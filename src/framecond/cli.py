@@ -338,7 +338,8 @@ def _cmd_sweep(args) -> int:
              "t1_step": args.t1_step, "gap_tol": args.gap_tol},
             _frame_stats(frame),
             {"csv_path": args.out, "t1_grid": grid, "coherence": record.coherence,
-             "condition_number": record.condition_number},
+             "condition_number": record.condition_number,
+             "failed_solves": sum(st != conic.SolverStatus.OPTIMAL for st in record.statuses)},
         )
     return 0
 

@@ -13,8 +13,13 @@ exactly one row.  Linear programs are the special case ``psd_dim == 0``.
 
 The solver follows the central path with the HKM direction and a Mehrotra
 predictor-corrector step, fraction-to-boundary 0.98.  Iterates stay strictly
-inside the cones throughout.  The Schur complement over the row multipliers
-is ``N + U U^T`` with N diagonal (slack columns).  The X block enters U in
+inside the cones throughout.  The complementarity gap never rises: when the
+asymmetric corrector step (separate primal and dual lengths) would raise it,
+the common step ``min(primal, dual)`` is taken, shortened by 0.8 until it
+does not.
+
+The Schur complement over the row multipliers is ``N + U U^T`` with N
+diagonal (slack columns).  The X block enters U in
 svec coordinates (the upper triangle, off-diagonal entries scaled by sqrt 2):
 with the HKM scaling ``D = X (x)_s S^-1``, the symmetric Kronecker product of
 order m(m+1)/2, factored as ``D = R R^T``, row k of U is
@@ -34,10 +39,10 @@ matrix of pair weights.  Only the few undamped (free) rows are materialised.
 Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
 ``W2 = X - t2 I``, each with its own dual slack matrix.  They are affine in
 X, so they add no rows: their HKM scalings fold into the X block as
-``D^-1 = D_X^-1 + D_W1^-1 + D_W2^-1``.  When ``t1 == t2`` the bounds pin
-``X = t1 I``; the solver then eliminates the matrix block and solves the
-remaining linear program (no interior exists, so duals are reported for the
-reduced problem and the eliminated equality rows carry zero multipliers).
+``D^-1 = D_X^-1 + D_W1^-1 + D_W2^-1``.  Bounds with ``t1 == t2`` (to within
+``1e-12 * max(1, t1)``) leave no interior and are rejected; a caller that
+pins X substitutes it and solves the remaining linear program itself, as
+:func:`framecond.precondition.solve_coherence` does for unit bounds.
 """
 
 from __future__ import annotations
@@ -85,7 +90,8 @@ class ConicProblem:
     shared nonnegative columns with zero objective.  With ``psd_dim == 0``
     there is no matrix block and the instance is a linear program.
     ``diag_rows``, ``pair_pos_rows`` and ``pair_neg_rows`` are optional row
-    labels used for dual bookkeeping and KKT reporting.
+    labels for dual bookkeeping; only :func:`kkt_residuals` reads them, and
+    ``solve`` ignores them.
     """
 
     psd_dim: int
@@ -512,11 +518,6 @@ class _KKTFactor:
         # Woodbury core well scaled near convergence
         tau = 1e-11 * (1.0 + n_diag.max()) if k else 0.0
         free_mask = n_diag <= tau
-        cap = max(width, int(np.count_nonzero(n_diag == 0.0)))
-        if free_mask.sum() > cap:
-            order = np.argsort(n_diag)
-            free_mask = np.zeros(k, dtype=bool)
-            free_mask[order[:cap]] = True
         self.free = np.flatnonzero(free_mask)
         self.damp = np.flatnonzero(~free_mask)
         if mode == "auto":
@@ -701,10 +702,6 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
     keep = np.setdiff1d(np.arange(k), dropped)
     remap = -np.ones(k, dtype=int)
     remap[keep] = np.arange(len(keep))
-
-    def relabel(rows):
-        return remap[rows] if rows is not None and len(np.atleast_1d(rows)) else rows
-
     dual_start = prob.dual_start
     if dual_start is not None:
         dual_start = {**dual_start, "y": np.asarray(dual_start["y"])[keep]}
@@ -718,9 +715,6 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
         slack_rows=remap[prob.slack_rows],
         slack_coefs=prob.slack_coefs,
         extras=prob.extras[keep],
-        diag_rows=relabel(prob.diag_rows),
-        pair_pos_rows=relabel(prob.pair_pos_rows),
-        pair_neg_rows=relabel(prob.pair_neg_rows),
         dual_start=dual_start,
     )
     if dual_start is not None:
@@ -757,17 +751,18 @@ def solve(problem: ConicProblem, settings: SolverSettings = SolverSettings()) ->
     complementarity gap and the primal/dual objective difference are both at
     most ``gap_tol * (1 + |objective|)`` and the feasibility residuals at
     most ``feas_tol`` (relative).
+
+    Raises ``ValueError`` for eigenvalue bounds with ``t1 - t2 <= 1e-12 *
+    max(1, |t1|)``: they pin X and leave no interior, so the caller
+    substitutes the pinned X and solves the remaining linear program.
     """
+    if problem.eig_bounds is not None:
+        t1, t2 = problem.eig_bounds
+        if t1 - t2 <= 1e-12 * max(1.0, abs(t1)):
+            raise ValueError(f"eigenvalue bounds {problem.eig_bounds} pin X; substitute it and solve the LP")
     n_rows_orig = problem.n_rows
     reduced, dropped = _drop_dependent_free_rows(problem)
-    if reduced.eig_bounds is not None:
-        t1, t2 = reduced.eig_bounds
-        if t1 - t2 <= 1e-12 * max(1.0, abs(t1)):
-            sol = _solve_pinned(reduced, settings, t1)
-        else:
-            sol = _ipm(_Layout(reduced), settings)
-    else:
-        sol = _ipm(_Layout(reduced), settings)
+    sol = _ipm(_Layout(reduced), settings)
     if len(dropped):
         # dropped rows are implied equalities; zero multipliers keep the dual
         # constraints intact and restore the caller's row indexing
@@ -925,10 +920,9 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         # predictor
         rc_psd = [-xb @ sb for xb, sb in zip(x_psd, s_psd)]
         rc_lin = -x_lin * s_lin
-        dxp_a, dxl_a, dy_a, dsp_a, dsl_a = newton.direction(rc_psd, rc_lin)
-        aff = (dxp_a, dxl_a, dsp_a, dsl_a, dy_a)
-        bp_a, bd_a = boundary_steps(*aff[:4])
-        gap_aff = gap_after(*aff[:4], min(bp_a, 1.0), min(bd_a, 1.0))
+        dxp_a, dxl_a, _, dsp_a, dsl_a = newton.direction(rc_psd, rc_lin)
+        bp_a, bd_a = boundary_steps(dxp_a, dxl_a, dsp_a, dsl_a)
+        gap_aff = gap_after(dxp_a, dxl_a, dsp_a, dsl_a, min(bp_a, 1.0), min(bd_a, 1.0))
         sigma = min(max((gap_aff / gap) ** 3, 0.0), 0.99999)
 
         # corrector
@@ -938,26 +932,18 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         ]
         rc_lin = sigma * mu - x_lin * s_lin - dxl_a * dsl_a
         dx_psd, dx_lin, dy, ds_psd, ds_lin = newton.direction(rc_psd, rc_lin)
-        corr = (dx_psd, dx_lin, ds_psd, ds_lin, dy)
 
-        # keep the complementarity gap monotone: asymmetric corrector steps,
-        # then a common corrector step, then the pure affine direction whose
-        # gap derivative is exactly -gap
-        bp, bd = boundary_steps(*corr[:4])
+        # keep the complementarity gap monotone: the asymmetric corrector
+        # step, else the common step shortened by 0.8 up to 30 times
+        bp, bd = boundary_steps(dx_psd, dx_lin, ds_psd, ds_lin)
         ap, ad = min(STEP_FRACTION * bp, 1.0), min(STEP_FRACTION * bd, 1.0)
-        a_aff = min(STEP_FRACTION * min(bp_a, bd_a), 1.0)
-        candidates = [(corr, ap, ad)]
-        candidates += [(corr, min(ap, ad) * 0.8**k, min(ap, ad) * 0.8**k) for k in range(31)]
-        candidates += [(aff, a_aff * 0.8**k, a_aff * 0.8**k) for k in range(31)]
-        chosen = None
-        for dirs, cand_p, cand_d in candidates:
-            if gap_after(*dirs[:4], cand_p, cand_d) <= gap * (1.0 + 1e-12) + 1e-13:
-                chosen = (dirs, cand_p, cand_d)
-                break
-        if chosen is None or min(chosen[1], chosen[2]) < 1e-10:
+        steps = [(ap, ad)] + [(min(ap, ad) * 0.8**k,) * 2 for k in range(31)]
+        gap_cap = gap * (1.0 + 1e-12) + 1e-13
+        chosen = next((s for s in steps if gap_after(dx_psd, dx_lin, ds_psd, ds_lin, *s) <= gap_cap), None)
+        if chosen is None or min(chosen) < 1e-10:
             status = SolverStatus.NUMERICAL_FAILURE if chosen is None else SolverStatus.MAX_ITER
             break
-        (dx_psd, dx_lin, ds_psd, ds_lin, dy), ap, ad = chosen
+        ap, ad = chosen
         if lay.matrix_mode:
             x_mat = _sym(x_mat + ap * dx_psd[0])
             x_psd = lay.blocks(x_mat)
@@ -1019,42 +1005,6 @@ def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
         gap_history=gap_history,
         bound_info=bound_info,
     )
-
-
-def _solve_pinned(problem: ConicProblem, settings: SolverSettings, t_pin: float) -> ConicSolution:
-    """Bounds with t1 == t2 leave X = t_pin * I as the only matrix choice;
-    substitute it and solve the remaining LP over (q, slacks, extras)."""
-    fixed = problem.row_alpha * np.einsum("km,km->k", t_pin * problem.row_u, problem.row_v)
-    rhs = problem.rhs - fixed
-    has_var = (problem.row_q != 0) | (np.abs(problem.extras).sum(axis=1) > 0)
-    has_var[problem.slack_rows] = True
-    bad = np.flatnonzero(~has_var & (np.abs(rhs) > settings.feas_tol * max(1.0, np.abs(problem.rhs).max())))
-    if len(bad):
-        raise ValueError(
-            f"bounds pin X = {t_pin} * I, which contradicts constraint rows {bad.tolist()}"
-        )
-    keep = np.flatnonzero(has_var)
-    remap = -np.ones(problem.n_rows, dtype=int)
-    remap[keep] = np.arange(len(keep))
-    sub = ConicProblem(
-        psd_dim=0,
-        rhs=rhs[keep],
-        row_q=problem.row_q[keep],
-        slack_rows=remap[problem.slack_rows],
-        slack_coefs=problem.slack_coefs,
-        extras=problem.extras[keep],
-        pair_pos_rows=remap[problem.pair_pos_rows] if problem.pair_pos_rows is not None else None,
-        pair_neg_rows=remap[problem.pair_neg_rows] if problem.pair_neg_rows is not None else None,
-    )
-    sol = solve(sub, settings)
-    y = np.zeros(problem.n_rows)
-    y[keep] = sol.y
-    m = problem.psd_dim
-    sol.X = t_pin * np.eye(m)
-    sol.dual_psd = np.zeros((m, m))
-    sol.y = y
-    sol.bound_info = {"pinned": t_pin}
-    return sol
 
 
 def kkt_residuals(problem: ConicProblem, solution: ConicSolution) -> KKTResiduals:

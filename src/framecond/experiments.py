@@ -46,6 +46,7 @@ class TableRow:
     mean_mu_phi: float
     mean_mu_precond: float
     welch_bound: float
+    failed_solves: int            # preconditioner solves not ending Optimal
 
 
 @dataclass
@@ -71,15 +72,17 @@ class SweepRecord:
     t1_grid: list
     coherence: list = field(default_factory=list)     # q*(t1)
     condition_number: list = field(default_factory=list)  # kappa(G)(t1)
+    statuses: list = field(default_factory=list)     # solver status per t1
 
 
-def _preconditioner(frame: Frame, variant: str, settings: conic.SolverSettings) -> np.ndarray:
+def _preconditioner(frame: Frame, variant: str, settings: conic.SolverSettings) -> tuple[np.ndarray, str]:
+    """The variant's preconditioner and the status of the solve behind it."""
     result = solve_coherence(frame, settings)
     if variant == "gphi":
-        return result.G
+        return result.G, result.solution.status
     if variant == "g1phi":
         g1, _ = compose_tight_preconditioner(result.G, frame)
-        return g1
+        return g1, result.solution.status
     raise ValueError(f"unknown variant {variant!r}")
 
 
@@ -92,26 +95,29 @@ def coherence_table(
     settings: conic.SolverSettings | None = None,
 ) -> list[TableRow]:
     """Mean coherence before and after preconditioning over seeded Gaussian
-    frames, one row per m."""
+    frames, one row per m; ``failed_solves`` counts the row's preconditioner
+    solves that did not end ``Optimal`` (their coherence is still averaged)."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if settings is None:
         settings = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
     rows = []
     for m in m_list:
-        mus, mus_after = [], []
+        mus, mus_after, failed = [], [], 0
         for trial in range(trials):
             frame_seed = trial_rng(seed, FRAME_STREAM, m, 0, trial).integers(2**63)
             frame = random_gaussian_frame(m, n_vectors, int(frame_seed))
             mus.append(coherence(frame))
-            g = _preconditioner(frame, variant, settings)
+            g, status = _preconditioner(frame, variant, settings)
             mus_after.append(coherence(Frame(g @ frame.matrix)))
+            failed += status != conic.SolverStatus.OPTIMAL
         rows.append(
             TableRow(
                 m=int(m),
                 mean_mu_phi=float(np.mean(mus)),
                 mean_mu_precond=float(np.mean(mus_after)),
                 welch_bound=welch_bound(int(m), n_vectors),
+                failed_solves=failed,
             )
         )
     return rows
@@ -172,7 +178,7 @@ def phase_diagram(
         if pipeline == "phi":
             g = np.eye(m)
         else:
-            g = _preconditioner(frame, pipeline, settings)
+            g, _ = _preconditioner(frame, pipeline, settings)
         sensing = g @ frame.matrix
         sparsities = np.repeat(np.arange(1, m + 1), trials)
         xs = np.zeros((len(sparsities), n_vectors))
@@ -211,7 +217,8 @@ def condition_sweep(
     settings: conic.SolverSettings | None = None,
 ) -> SweepRecord:
     """Coherence and preconditioner condition number along an ascending grid
-    of upper eigenvalue bounds with the lower bound fixed."""
+    of upper eigenvalue bounds with the lower bound fixed, with the status of
+    each solve."""
     t1_grid = [float(t) for t in t1_grid]
     if any(b - a < -1e-12 for a, b in zip(t1_grid, t1_grid[1:])):
         raise ValueError("t1 grid must be ascending")
@@ -224,4 +231,5 @@ def condition_sweep(
         result = solve_coherence(frame, settings, bounds=(t1, t2))
         record.coherence.append(result.q)
         record.condition_number.append(result.condition_number)
+        record.statuses.append(result.solution.status)
     return record

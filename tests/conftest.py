@@ -1,3 +1,11 @@
+import os
+
+# one BLAS thread, as perfbench/run.py runs: the small dense factorizations
+# of these tests get several times slower with OpenBLAS's default threads on
+# a two-core machine; set before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

@@ -133,6 +133,7 @@ class TestSubcommands:
         assert len(lines) == 4
         doc = json.loads((tmp_path / "r.json").read_text())
         assert len(doc["result"]["t1_grid"]) == len(doc["result"]["coherence"])
+        assert doc["result"]["failed_solves"] == 0
         assert (tmp_path / "sweep.csv.gp").exists()
 
     def test_phase_csv_and_report(self, tmp_path):

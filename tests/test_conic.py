@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framecond import conic, experiments, frames
-from framecond.precondition import build_c1, build_c2
+from framecond.precondition import build_c1, build_c2, solve_coherence
 
 TIGHT = conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8)
 
@@ -430,12 +430,18 @@ class TestKKTResiduals:
 
 
 class TestEigenvalueBounds:
+    def test_pinned_bounds_rejected(self, sign_pattern_frame):
+        # t1 == t2 leaves no interior; conic.solve leaves the substitution
+        # of the pinned X to its caller
+        with pytest.raises(ValueError):
+            conic.solve(build_c2(sign_pattern_frame, 1.0, 1.0), TIGHT)
+
     def test_equal_bounds_pin_identity(self, sign_pattern_frame):
-        prob = build_c2(sign_pattern_frame, 1.0, 1.0)
-        sol = conic.solve(prob, TIGHT)
-        assert sol.status == conic.SolverStatus.OPTIMAL
-        assert np.abs(sol.X - np.eye(3)).max() <= 1e-12
-        assert sol.q == pytest.approx(0.5, abs=1e-6)
+        res = solve_coherence(sign_pattern_frame, TIGHT, bounds=(1.0, 1.0))
+        assert res.solution.status == conic.SolverStatus.OPTIMAL
+        assert (res.X == np.eye(3)).all()
+        assert res.q == pytest.approx(0.5, abs=1e-6)
+        assert (res.duals["z_ii"] == 0.0).all()
 
     def test_nested_feasible_sets(self):
         fr = frames.random_gaussian_frame(5, 12, 9)
@@ -458,19 +464,26 @@ class TestEigenvalueBounds:
         eig = np.linalg.eigvalsh(sol.X)
         assert eig[0] >= 0.5 - 1e-6 and eig[-1] <= 2.0 + 1e-6
 
-    @pytest.mark.parametrize("width", [1e-6, 1e-9])
+    # near 1 box widths come in steps of about 2.2e-16: a nominal 1e-12 is
+    # the first width above the pin threshold t1 - t2 <= 1e-12 * t1, and
+    # 0.9999e-12 the last one at it
+    @pytest.mark.parametrize("width", [1e-6, 1e-9, 1.5e-12, 1e-12, 0.9999e-12])
     @pytest.mark.parametrize(
         "make_frame",
         [lambda: frames.random_gaussian_frame(4, 9, 13), lambda: seeded_frame(12)],
         ids=["4x9", "12x64"],
     )
     def test_narrow_box_correct_or_flagged(self, make_frame, width):
-        # boxes just wider than the 1e-12 pin threshold stay on the
-        # interior-point path: a correct Optimal or an explicit failure
+        # boxes wider than the pin threshold give a correct Optimal or an
+        # explicit failure; a box at the threshold is rejected
         fr = make_frame()
         t1, t2 = 1.0 + 0.5 * width, 1.0 - 0.5 * width
-        sol = conic.solve(build_c2(fr, t1, t2), TIGHT)
-        assert "pinned" not in sol.bound_info
+        prob = build_c2(fr, t1, t2)
+        if width < 1e-12:
+            with pytest.raises(ValueError):
+                conic.solve(prob, TIGHT)
+            return
+        sol = conic.solve(prob, TIGHT)
         if sol.status != conic.SolverStatus.OPTIMAL:
             assert sol.status in (conic.SolverStatus.MAX_ITER, conic.SolverStatus.NUMERICAL_FAILURE)
             return

@@ -31,6 +31,11 @@ class TestCoherenceTable:
         assert row.m == 4
         assert row.welch_bound == pytest.approx(frames.welch_bound(4, 12))
         assert row.mean_mu_precond <= row.mean_mu_phi + 1e-5
+        assert row.failed_solves == 0
+
+    def test_unfinished_solves_counted(self):
+        (row,) = experiments.coherence_table([4], 12, 2, seed=3, settings=conic.SolverSettings(max_iter=1))
+        assert row.failed_solves == 2
 
     def test_tight_variant_improves_over_plain(self):
         (row,) = experiments.coherence_table([6], 16, 2, seed=1, variant="g1phi", settings=FAST)
@@ -133,6 +138,13 @@ class TestConditionSweep:
         mu = frames.coherence(fr)
         assert record.coherence[0] == pytest.approx(mu, abs=1e-5)
         assert record.condition_number[0] == pytest.approx(1.0, abs=1e-6)
+        assert record.statuses == [conic.SolverStatus.OPTIMAL] * 2
+
+    def test_statuses_flag_unfinished_solves(self):
+        # the pinned point (t1 = 1) and the bounded one both stop at max_iter
+        fr = frames.random_gaussian_frame(6, 12, 7)
+        record = experiments.condition_sweep(fr, 0.5, [1.0, 2.0], conic.SolverSettings(max_iter=1))
+        assert record.statuses == [conic.SolverStatus.MAX_ITER] * 2
 
     def test_monotone_decrease_with_relaxed_floor(self):
         fr = frames.random_gaussian_frame(6, 12, 7)

@@ -115,10 +115,21 @@ class TestDiagonalLP:
         linprog = pytest.importorskip("scipy.optimize").linprog
         seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, m, 0, 0).integers(2**63))
         fr = frames.random_gaussian_frame(m, 64, seed)
-        res = pc.diagonal_lp(fr, conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8))
+        settings = conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8)
+        res = pc.diagonal_lp(fr, settings)
         sol = res.solution
         assert sol.status == conic.SolverStatus.OPTIMAL
         assert len(sol.dropped_rows) == 64 - m
+        # the LP form of the KKT residuals, on the problem diagonal_lp solves
+        c1 = pc.build_c1(fr)
+        lp = conic.ConicProblem(
+            psd_dim=0, rhs=c1.rhs, row_q=c1.row_q, slack_rows=c1.slack_rows,
+            extras=c1.row_alpha[:, None] * c1.row_u * c1.row_v,
+            pair_pos_rows=c1.pair_pos_rows, pair_neg_rows=c1.pair_neg_rows,
+        )
+        kkt = conic.kkt_residuals(lp, sol)
+        for value in (kkt.stationarity, kkt.pos_complementarity, kkt.neg_complementarity, kkt.normalization):
+            assert value <= 10 * settings.gap_tol
         phi = fr.matrix
         iu, ju = np.triu_indices(64, k=1)
         pair = (phi[:, iu] * phi[:, ju]).T
