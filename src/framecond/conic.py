@@ -39,10 +39,11 @@ matrix of pair weights.  Only the few undamped (free) rows are materialised.
 Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
 ``W2 = X - t2 I``, each with its own dual slack matrix.  They are affine in
 X, so they add no rows: their HKM scalings fold into the X block as
-``D^-1 = D_X^-1 + D_W1^-1 + D_W2^-1``.  Bounds with ``t1 == t2`` (to within
-``1e-12 * max(1, t1)``) leave no interior and are rejected; a caller that
-pins X substitutes it and solves the remaining linear program itself, as
-:func:`framecond.precondition.solve_coherence` does for unit bounds.
+``D^-1 = D_X^-1 + D_W1^-1 + D_W2^-1``.  When ``t1 == t2`` (to within
+``1e-12 * max(1, t1)``) the bounds pin ``X = t1 I``; the solver then
+eliminates the matrix block and solves the remaining linear program (no
+interior exists, so duals are reported for the reduced problem and the
+eliminated equality rows carry zero multipliers).
 """
 
 from __future__ import annotations
@@ -752,17 +753,16 @@ def solve(problem: ConicProblem, settings: SolverSettings = SolverSettings()) ->
     most ``gap_tol * (1 + |objective|)`` and the feasibility residuals at
     most ``feas_tol`` (relative).
 
-    Raises ``ValueError`` for eigenvalue bounds with ``t1 - t2 <= 1e-12 *
-    max(1, |t1|)``: they pin X and leave no interior, so the caller
-    substitutes the pinned X and solves the remaining linear program.
+    Eigenvalue bounds with ``t1 - t2 <= 1e-12 * max(1, |t1|)`` pin
+    ``X = t1 I``; the remaining linear program is solved instead.
     """
-    if problem.eig_bounds is not None:
-        t1, t2 = problem.eig_bounds
-        if t1 - t2 <= 1e-12 * max(1.0, abs(t1)):
-            raise ValueError(f"eigenvalue bounds {problem.eig_bounds} pin X; substitute it and solve the LP")
     n_rows_orig = problem.n_rows
     reduced, dropped = _drop_dependent_free_rows(problem)
-    sol = _ipm(_Layout(reduced), settings)
+    bounds = reduced.eig_bounds
+    if bounds is not None and bounds[0] - bounds[1] <= 1e-12 * max(1.0, abs(bounds[0])):
+        sol = _solve_pinned(reduced, settings, bounds[0])
+    else:
+        sol = _ipm(_Layout(reduced), settings)
     if len(dropped):
         # dropped rows are implied equalities; zero multipliers keep the dual
         # constraints intact and restore the caller's row indexing
@@ -1005,6 +1005,40 @@ def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
         gap_history=gap_history,
         bound_info=bound_info,
     )
+
+
+def _solve_pinned(problem: ConicProblem, settings: SolverSettings, t_pin: float) -> ConicSolution:
+    """Bounds with t1 == t2 leave X = t_pin * I as the only matrix choice;
+    substitute it and solve the remaining LP over (q, slacks, extras)."""
+    fixed = problem.row_alpha * np.einsum("km,km->k", t_pin * problem.row_u, problem.row_v)
+    rhs = problem.rhs - fixed
+    has_var = (problem.row_q != 0) | (np.abs(problem.extras).sum(axis=1) > 0)
+    has_var[problem.slack_rows] = True
+    bad = np.flatnonzero(~has_var & (np.abs(rhs) > settings.feas_tol * max(1.0, np.abs(problem.rhs).max())))
+    if len(bad):
+        raise ValueError(
+            f"bounds pin X = {t_pin} * I, which contradicts constraint rows {bad.tolist()}"
+        )
+    keep = np.flatnonzero(has_var)
+    remap = -np.ones(problem.n_rows, dtype=int)
+    remap[keep] = np.arange(len(keep))
+    sub = ConicProblem(
+        psd_dim=0,
+        rhs=rhs[keep],
+        row_q=problem.row_q[keep],
+        slack_rows=remap[problem.slack_rows],
+        slack_coefs=problem.slack_coefs,
+        extras=problem.extras[keep],
+    )
+    sol = solve(sub, settings)
+    y = np.zeros(problem.n_rows)
+    y[keep] = sol.y
+    m = problem.psd_dim
+    sol.X = t_pin * np.eye(m)
+    sol.dual_psd = np.zeros((m, m))
+    sol.y = y
+    sol.bound_info = {"pinned": t_pin}
+    return sol
 
 
 def kkt_residuals(problem: ConicProblem, solution: ConicSolution) -> KKTResiduals:

@@ -176,9 +176,8 @@ def build_c2(frame: Frame, t1: float, t2: float) -> conic.ConicProblem:
 
     A unit-norm frame forces every feasible X to satisfy min eig <= 1 <=
     max eig, so t2 > 1 or t1 < 1 is infeasible and t2 = 1 or t1 = 1 pins
-    X = I: the bounds come back as ``(1.0, 1.0)``, which ``conic.solve``
-    rejects; :func:`solve_coherence` substitutes X = I and solves the linear
-    program that remains in q and the slacks.
+    X = I: the bounds come back as ``(1.0, 1.0)``, and ``conic.solve``
+    substitutes X = I and solves the linear program left in q and the slacks.
     """
     if not (np.isfinite(t1) and np.isfinite(t2) and t1 >= t2 > 0):
         raise InvalidBounds(f"need finite t1 >= t2 > 0, got t1={t1}, t2={t2}")
@@ -237,25 +236,9 @@ def solve_coherence(
     bounds: tuple[float, float] | None = None,
     active_tol: float = ACTIVE_SET_TOL,
 ) -> PreconditionResult:
-    """End-to-end coherence minimization: build, solve, factor, verify.
-
-    Bounds that pin X = I (see :func:`build_c2`) leave an LP over q and the
-    pair-row slacks, with X = I substituted; the unit-norm rows, which X = I
-    satisfies, are left out and report zero multipliers.
-    """
+    """End-to-end coherence minimization: build, solve, factor, verify."""
     frame = _require_unit_norm(frame)
     prob = build_c2(frame, *bounds) if bounds is not None else build_c1(frame)
-    if prob.eig_bounds == (1.0, 1.0):
-        rows = prob.slack_rows
-        fixed = prob.row_alpha * np.einsum("km,km->k", prob.row_u, prob.row_v)
-        lp = conic.ConicProblem(
-            psd_dim=0, rhs=(prob.rhs - fixed)[rows], row_q=prob.row_q[rows], slack_rows=np.arange(len(rows))
-        )
-        sol = conic.solve(lp, settings)
-        y = np.zeros(prob.n_rows)
-        y[rows] = sol.y
-        sol.y = y
-        return _finish(frame, sol, np.eye(frame.m), active_tol)
     sol = conic.solve(prob, settings)
     return _finish(frame, sol, sol.X, active_tol)
 

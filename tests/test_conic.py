@@ -158,6 +158,16 @@ class TestCoherenceProgram:
         assert sol.q == pytest.approx(1.0, abs=1e-6)
         assert len(sol.y) == build_c1(frames.Frame(mat)).n_rows
 
+    def test_near_duplicate_columns_in_woodbury_mode(self):
+        # 16 columns repeated up to 1e-6 in a 12 x 64 frame: 80 rows end up
+        # free against a Woodbury core 79 wide, and all of them must stay free
+        base = frames.random_gaussian_frame(12, 48, 3).matrix
+        pert = base[:, :16] + 1e-6 * np.random.default_rng(5).standard_normal((12, 16))
+        mat = np.hstack([base, pert / np.linalg.norm(pert, axis=0)])
+        sol = conic.solve(build_c1(frames.Frame(mat)), TIGHT)
+        assert sol.status == conic.SolverStatus.OPTIMAL
+        assert sol.q == pytest.approx(1.0, abs=1e-6)
+
 
 class TestPresolve:
     """``_pivoted_chol_dependents`` on the Gram matrix of rows with planted
@@ -430,15 +440,15 @@ class TestKKTResiduals:
 
 
 class TestEigenvalueBounds:
-    def test_pinned_bounds_rejected(self, sign_pattern_frame):
-        # t1 == t2 leaves no interior; conic.solve leaves the substitution
-        # of the pinned X to its caller
-        with pytest.raises(ValueError):
-            conic.solve(build_c2(sign_pattern_frame, 1.0, 1.0), TIGHT)
-
     def test_equal_bounds_pin_identity(self, sign_pattern_frame):
+        prob = build_c2(sign_pattern_frame, 1.0, 1.0)
+        sol = conic.solve(prob, TIGHT)
+        assert sol.status == conic.SolverStatus.OPTIMAL
+        assert np.abs(sol.X - np.eye(3)).max() <= 1e-12
+        assert sol.q == pytest.approx(0.5, abs=1e-6)
+        # end to end, the substituted X is exactly I and the unit-norm rows,
+        # which X = I satisfies, carry zero multipliers
         res = solve_coherence(sign_pattern_frame, TIGHT, bounds=(1.0, 1.0))
-        assert res.solution.status == conic.SolverStatus.OPTIMAL
         assert (res.X == np.eye(3)).all()
         assert res.q == pytest.approx(0.5, abs=1e-6)
         assert (res.duals["z_ii"] == 0.0).all()
@@ -474,16 +484,13 @@ class TestEigenvalueBounds:
         ids=["4x9", "12x64"],
     )
     def test_narrow_box_correct_or_flagged(self, make_frame, width):
-        # boxes wider than the pin threshold give a correct Optimal or an
-        # explicit failure; a box at the threshold is rejected
+        # boxes wider than the pin threshold stay on the interior-point path,
+        # boxes at it take the pinned path; either gives a correct Optimal or
+        # an explicit failure
         fr = make_frame()
         t1, t2 = 1.0 + 0.5 * width, 1.0 - 0.5 * width
-        prob = build_c2(fr, t1, t2)
-        if width < 1e-12:
-            with pytest.raises(ValueError):
-                conic.solve(prob, TIGHT)
-            return
-        sol = conic.solve(prob, TIGHT)
+        sol = conic.solve(build_c2(fr, t1, t2), TIGHT)
+        assert ("pinned" in sol.bound_info) == (width < 1e-12)
         if sol.status != conic.SolverStatus.OPTIMAL:
             assert sol.status in (conic.SolverStatus.MAX_ITER, conic.SolverStatus.NUMERICAL_FAILURE)
             return
@@ -491,6 +498,9 @@ class TestEigenvalueBounds:
         assert eig[0] >= t2 - 1e-12 and eig[-1] <= t1 + 1e-12
         unbounded = conic.solve(build_c1(fr), TIGHT).q
         assert unbounded - 1e-7 <= sol.q <= coherence_of(fr.matrix) + 1e-7
+        if width < 1e-12:
+            res = solve_coherence(fr, TIGHT, bounds=(t1, t2))
+            assert res.q == pytest.approx(sol.q, abs=1e-9)
 
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
