@@ -42,7 +42,7 @@ print(f"stationarity product       : {residuals.stationarity:.2e}")
 print(f"slack complementarity (+/-): {residuals.pos_complementarity:.2e}, "
       f"{residuals.neg_complementarity:.2e}")
 print(f"multiplier normalization   : {residuals.normalization:.2e}")
-z_ii = -solution.y[prob.diag_rows]
+z_ii = -solution.y[np.arange(gauss.n_vectors)]
 print(f"q* = {solution.q:.8f} vs -sum(z_ii) = {-z_ii.sum():.8f}")
 
 print()

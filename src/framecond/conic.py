@@ -41,9 +41,14 @@ Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
 X, so they add no rows: their HKM scalings fold into the X block as
 ``D^-1 = D_X^-1 + D_W1^-1 + D_W2^-1``.  When ``t1 == t2`` (to within
 ``1e-12 * max(1, t1)``) the bounds pin ``X = t1 I``; the solver then
-eliminates the matrix block and solves the remaining linear program (no
-interior exists, so duals are reported for the reduced problem and the
-eliminated equality rows carry zero multipliers).
+eliminates the matrix block and solves the remaining linear program (the
+eliminated equality rows carry zero multipliers and the bound duals take
+``sum_k y_k A_k``).
+
+Every solve starts from X = I (the box's midpoint when I is not inside it),
+q and the extras at 1 and each slack absorbing its row's residual, and from
+the problem's ``dual_start`` when its dual slacks are interior, else from
+y = 0 with unit dual slacks.
 """
 
 from __future__ import annotations
@@ -90,9 +95,11 @@ class ConicProblem:
     ``slack_rows``/``slack_coefs`` place each exclusive slack; ``extras`` are
     shared nonnegative columns with zero objective.  With ``psd_dim == 0``
     there is no matrix block and the instance is a linear program.
-    ``diag_rows``, ``pair_pos_rows`` and ``pair_neg_rows`` are optional row
-    labels for dual bookkeeping; only :func:`kkt_residuals` reads them, and
-    ``solve`` ignores them.
+    ``pair_pos_rows`` and ``pair_neg_rows`` are optional row labels for dual
+    bookkeeping; only :func:`kkt_residuals` reads them.  ``dual_start`` is an
+    optional row-multiplier vector y to start from: ``solve`` uses it when
+    its dual slacks ``c - A_lin^T y`` and ``-sum_k y_k A_k`` are interior,
+    and the generic start otherwise.
     """
 
     psd_dim: int
@@ -105,11 +112,9 @@ class ConicProblem:
     slack_coefs: np.ndarray = None
     extras: np.ndarray = None
     eig_bounds: tuple | None = None
-    diag_rows: np.ndarray = None
     pair_pos_rows: np.ndarray = None
     pair_neg_rows: np.ndarray = None
-    primal_start: dict = None
-    dual_start: dict = None
+    dual_start: np.ndarray = None
 
     def __post_init__(self):
         k = len(self.rhs)
@@ -154,6 +159,10 @@ class ConicProblem:
         for arr in (self.rhs, self.row_u, self.row_v, self.row_alpha, self.row_q, self.extras):
             if not np.isfinite(arr).all():
                 raise ValueError("problem data contains NaN or Inf")
+        if self.dual_start is not None:
+            self.dual_start = np.asarray(self.dual_start, dtype=float)
+            if self.dual_start.shape != (k,) or not np.isfinite(self.dual_start).all():
+                raise ValueError(f"dual_start must be a finite vector of length {k}")
 
     @property
     def n_rows(self) -> int:
@@ -703,10 +712,7 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
     keep = np.setdiff1d(np.arange(k), dropped)
     remap = -np.ones(k, dtype=int)
     remap[keep] = np.arange(len(keep))
-    dual_start = prob.dual_start
-    if dual_start is not None:
-        dual_start = {**dual_start, "y": np.asarray(dual_start["y"])[keep]}
-    new = replace(
+    reduced = replace(
         prob,
         rhs=prob.rhs[keep],
         row_u=prob.row_u[keep],
@@ -716,20 +722,9 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
         slack_rows=remap[prob.slack_rows],
         slack_coefs=prob.slack_coefs,
         extras=prob.extras[keep],
-        dual_start=dual_start,
+        dual_start=None if prob.dual_start is None else prob.dual_start[keep],
     )
-    if dual_start is not None:
-        # restore exact dual feasibility on the reduced row set so the
-        # stationarity products stay at complementarity level
-        lay = _Layout(new)
-        y = np.asarray(dual_start["y"], dtype=float)
-        s_lin = lay.c_lin - lay.adjoint_lin(y)
-        s_psd = [-lay.adjoint_psd(y)] if lay.matrix_mode else []
-        usable = (s_lin > 1e-12).all() and all(
-            np.linalg.eigvalsh(blk).min() > 1e-12 for blk in s_psd
-        )
-        new.dual_start = {**dual_start, "lin": s_lin, "psd": s_psd} if usable else None
-    return new, dropped
+    return reduced, dropped
 
 
 def _pivoted_chol_dependents(gram):
@@ -751,7 +746,10 @@ def solve(problem: ConicProblem, settings: SolverSettings = SolverSettings()) ->
     :mod:`framecond.precondition` construct one).  On ``Optimal`` the
     complementarity gap and the primal/dual objective difference are both at
     most ``gap_tol * (1 + |objective|)`` and the feasibility residuals at
-    most ``feas_tol`` (relative).
+    most ``feas_tol`` (relative).  The loop also polishes ``|X_b S_b|_F`` to
+    ``5 * gap_tol``; a solve that stops first returns its best-merit iterate,
+    labelled ``Optimal`` if it passed the tests above, else with the status
+    that stopped the loop.
 
     Eigenvalue bounds with ``t1 - t2 <= 1e-12 * max(1, |t1|)`` pin
     ``X = t1 I``; the remaining linear program is solved instead.
@@ -786,45 +784,31 @@ def _floor_slacks(lay: _Layout, x_mat, x_lin):
 
 
 def _primal_start(lay: _Layout):
-    m = lay.prob.psd_dim
-    start = lay.prob.primal_start or {}
-    x_lin = start["lin"].copy() if start else np.ones(lay.n_lin)
-    slacks_stale = not start
-    x_mat = None
-    if lay.matrix_mode:
-        x_mat = start["psd"][0].copy() if start.get("psd") else np.eye(m)
-        if lay.bounds is not None:
-            t1, t2 = lay.bounds
-            margin = 1e-3 * (t1 - t2)
-            w = np.linalg.eigvalsh(x_mat)
-            if w.min() < t2 + margin or w.max() > t1 - margin:
-                beta = 1.0 if (t2 + margin < 1.0 < t1 - margin) else 0.5 * (t1 + t2)
-                x_mat = beta * np.eye(m)
-                slacks_stale = True
-    if slacks_stale:
-        x_lin = _floor_slacks(lay, x_mat, x_lin)
-    return x_mat, x_lin
+    """X = I, or the box's midpoint when I is not 1e-3 (t1 - t2) inside it;
+    q and the extras at 1; each slack from :func:`_floor_slacks`."""
+    x_mat = np.eye(lay.prob.psd_dim) if lay.matrix_mode else None
+    if lay.bounds is not None:
+        t1, t2 = lay.bounds
+        margin = 1e-3 * (t1 - t2)
+        if not t2 + margin < 1.0 < t1 - margin:
+            x_mat *= 0.5 * (t1 + t2)
+    return x_mat, _floor_slacks(lay, x_mat, np.ones(lay.n_lin))
 
 
 def _start_state(lay: _Layout):
-    prob = lay.prob
-    m = prob.psd_dim
+    """The primal start with the dual start's slacks when they are interior,
+    else with y = 0 and unit dual slacks."""
+    m = lay.prob.psd_dim
     x_mat, x_lin = _primal_start(lay)
-    if prob.dual_start is not None:
-        y = np.array(prob.dual_start["y"], dtype=float)
-        s_psd = [b.copy() for b in prob.dual_start.get("psd", [])]
-        s_lin = prob.dual_start["lin"].copy()
-        if lay.bounds is not None:
+    y = lay.prob.dual_start
+    if y is not None:
+        s_lin = lay.c_lin - lay.adjoint_lin(y)
+        s_x = [-lay.adjoint_psd(y)] if lay.matrix_mode else []
+        if (s_lin > 1e-12).all() and all(np.linalg.eigvalsh(s).min() > 1e-12 for s in s_x):
             # equal dual slacks on W1 and W2 cancel in the X-block dual
             # residual, so the start stays exactly dual feasible
-            t1, t2 = lay.bounds
-            eps = 0.1 * max(t1 - t2, 1e-3)
-            s_psd += [eps * np.eye(m), eps * np.eye(m)]
-    else:
-        y = np.zeros(lay.k)
-        s_psd = [np.eye(m) for _ in lay.signs]
-        s_lin = np.ones(lay.n_lin)
-    return x_mat, x_lin, y, s_psd, s_lin
+            return x_mat, x_lin, y.copy(), s_x + [np.eye(m) for _ in lay.signs[1:]], s_lin
+    return x_mat, x_lin, np.zeros(lay.k), [np.eye(m) for _ in lay.signs], np.ones(lay.n_lin)
 
 
 def _measure(lay: _Layout, x_mat, x_lin, y, s_psd, s_lin):
@@ -852,9 +836,7 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
     status = SolverStatus.MAX_ITER
     iters = 0
     ridges = 0
-    best = None
-    best_merit = np.inf
-    best_basic = None
+    best, best_merit = None, np.inf  # the best-merit iterate, with its basic-test flag
 
     def snapshot():
         x_copy = None if x_mat is None else x_mat.copy()
@@ -864,24 +846,18 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         residuals, gap, pobj, dobj, p_inf, d_inf = _measure(lay, x_mat, x_lin, y, s_psd, s_lin)
         rel_gap = gap / (1.0 + abs(pobj))
         gap_history.append(gap)
-        merit = max(rel_gap, p_inf, d_inf, abs(pobj - dobj) / (1.0 + abs(pobj)))
-        if merit < best_merit:
-            best_merit = merit
-            best = snapshot()
+        obj_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
+        merit = max(rel_gap, p_inf, d_inf, obj_gap)
         # the stationarity products |X_b S_b|_F can sit well above the trace
         # gap when the optimal X is nearly singular; polishing until they
         # pass keeps every Optimal solve inside the KKT residual contract
         psd_prod = max(
             (np.linalg.norm(xb @ sb) for xb, sb in zip(x_psd, s_psd)), default=0.0
         ) / (1.0 + abs(pobj))
-        basic_ok = (
-            rel_gap <= settings.gap_tol
-            and abs(pobj - dobj) <= settings.gap_tol * (1.0 + abs(pobj))
-            and p_inf <= settings.feas_tol
-            and d_inf <= settings.feas_tol
-        )
-        if basic_ok and best_basic is None:
-            best_basic = snapshot()
+        basic_ok = max(rel_gap, obj_gap) <= settings.gap_tol and max(p_inf, d_inf) <= settings.feas_tol
+        if merit < best_merit:
+            best_merit = merit
+            best = snapshot(), basic_ok
         if basic_ok and (psd_prod <= 5.0 * settings.gap_tol or rel_gap <= 1e-3 * settings.gap_tol):
             status = SolverStatus.OPTIMAL
             break
@@ -953,14 +929,12 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         s_lin = s_lin + ad * ds_lin
         y = y + ad * dy
 
-    if status != SolverStatus.OPTIMAL:
-        if best_basic is not None:
-            # the basic optimality criteria were met earlier; the extra
-            # stationarity polish stalled, so return that certified point
-            x_mat, x_lin, y, s_psd, s_lin = best_basic
+    if status != SolverStatus.OPTIMAL and best is not None:
+        # the best-merit iterate; if it met the basic criteria, only the
+        # stationarity polish stalled, so it is reported as Optimal
+        (x_mat, x_lin, y, s_psd, s_lin), basic_ok = best
+        if basic_ok:
             status = SolverStatus.OPTIMAL
-        elif best is not None:
-            x_mat, x_lin, y, s_psd, s_lin = best
     sol = _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history)
     sol.kkt_ridges = ridges
     return sol
@@ -1037,7 +1011,11 @@ def _solve_pinned(problem: ConicProblem, settings: SolverSettings, t_pin: float)
     sol.X = t_pin * np.eye(m)
     sol.dual_psd = np.zeros((m, m))
     sol.y = y
-    sol.bound_info = {"pinned": t_pin}
+    # X = t_pin I is interior, so S_X = 0 and the bound duals (zero blocks
+    # W1, W2) take the positive and negative parts of sum_k y_k A_k
+    w, v = np.linalg.eigh(_sym((problem.row_u * (y * problem.row_alpha)[:, None]).T @ problem.row_v))
+    sol.bound_info = {"pinned": t_pin, "upper_dual": (v * np.maximum(w, 0.0)) @ v.T,
+                      "lower_dual": (v * np.maximum(-w, 0.0)) @ v.T}
     return sol
 
 

@@ -140,21 +140,10 @@ def build_c1(frame: Frame) -> conic.ConicProblem:
         alpha[sl] = sign
         q_col[sl] = -1.0
 
-    gram_off = np.einsum("mk,mk->k", phi[:, pairs[:, 0]], phi[:, pairs[:, 1]])
-    primal = {
-        "psd": [np.eye(m)],
-        "lin": np.concatenate(
-            [[1.0], np.maximum(1.0 - gram_off, 1e-3), np.maximum(1.0 + gram_off, 1e-3)]
-        ),
-    }
-    # exactly dual-feasible interior point: unit multipliers on the diagonal
-    # rows, 1/M^2 on every pair row, giving dual slack Phi Phi^T on the
-    # matrix block
-    dual = {
-        "y": np.concatenate([-np.ones(big_m), -np.full(2 * n_pairs, 1.0 / big_m**2)]),
-        "psd": [phi @ phi.T],
-        "lin": np.concatenate([[1.0 / big_m], np.full(2 * n_pairs, 1.0 / big_m**2)]),
-    }
+    # an exactly dual-feasible interior start: unit multipliers on the
+    # unit-norm rows and 1/M^2 on every pair row give the X-block dual slack
+    # Phi Phi^T
+    dual = np.concatenate([-np.ones(big_m), -np.full(2 * n_pairs, 1.0 / big_m**2)])
     return conic.ConicProblem(
         psd_dim=m,
         rhs=rhs,
@@ -163,10 +152,8 @@ def build_c1(frame: Frame) -> conic.ConicProblem:
         row_alpha=alpha,
         row_q=q_col,
         slack_rows=np.arange(big_m, k),
-        diag_rows=np.arange(big_m),
         pair_pos_rows=np.arange(big_m, big_m + n_pairs),
         pair_neg_rows=np.arange(big_m + n_pairs, k),
-        primal_start=primal,
         dual_start=dual,
     )
 
@@ -264,7 +251,6 @@ def diagonal_lp(
         row_q=c1.row_q,
         slack_rows=c1.slack_rows,
         extras=c1.row_alpha[:, None] * c1.row_u * c1.row_v,
-        diag_rows=c1.diag_rows,
         pair_pos_rows=c1.pair_pos_rows,
         pair_neg_rows=c1.pair_neg_rows,
     )

@@ -148,7 +148,7 @@ def test_criterion_06_kkt_residuals_at_optimum():
         bundle = (res.stationarity, res.pos_complementarity,
                   res.neg_complementarity, res.normalization)
         assert max(bundle) <= 10 * GAP, bundle
-        z_ii = -sol.y[prob.diag_rows]
+        z_ii = -sol.y[np.arange(fr.n_vectors)]
         dual_identity = abs(sol.q - (-np.sum(z_ii)))
         assert dual_identity <= 10 * GAP
         worst = max(worst, max(bundle), dual_identity)

@@ -452,6 +452,10 @@ class TestEigenvalueBounds:
         assert (res.X == np.eye(3)).all()
         assert res.q == pytest.approx(0.5, abs=1e-6)
         assert (res.duals["z_ii"] == 0.0).all()
+        # the bound duals carry sum_k y_k A_k, so the pinned optimum is a
+        # KKT point of the bounded program
+        kkt = conic.kkt_residuals(prob, res.solution)
+        assert kkt.stationarity <= 10 * TIGHT.gap_tol
 
     def test_nested_feasible_sets(self):
         fr = frames.random_gaussian_frame(5, 12, 9)
@@ -491,6 +495,9 @@ class TestEigenvalueBounds:
         t1, t2 = 1.0 + 0.5 * width, 1.0 - 0.5 * width
         sol = conic.solve(build_c2(fr, t1, t2), TIGHT)
         assert ("pinned" in sol.bound_info) == (width < 1e-12)
+        if fr.m == 4 and width == 1.5e-12:
+            # just above the threshold the unit bound-dual start still steps
+            assert sol.status == conic.SolverStatus.OPTIMAL
         if sol.status != conic.SolverStatus.OPTIMAL:
             assert sol.status in (conic.SolverStatus.MAX_ITER, conic.SolverStatus.NUMERICAL_FAILURE)
             return
@@ -507,6 +514,22 @@ class TestEigenvalueBounds:
             conic.ConicProblem(psd_dim=2, rhs=np.zeros(1), eig_bounds=(1.0, 2.0))
         with pytest.raises(ValueError):
             conic.ConicProblem(psd_dim=2, rhs=np.zeros(1), eig_bounds=(np.inf, 0.5))
+
+
+class TestDualStart:
+    def test_non_interior_start_falls_back_to_generic(self):
+        # y = 0 leaves the dual slacks c and 0 on the boundary, so the solver
+        # starts from y = 0 with unit dual slacks instead
+        prob = build_c1(frames.random_gaussian_frame(4, 9, 13))
+        default = conic.solve(prob, TIGHT)
+        sol = conic.solve(replace(prob, dual_start=np.zeros(prob.n_rows)), TIGHT)
+        assert sol.status == conic.SolverStatus.OPTIMAL
+        assert sol.q == pytest.approx(default.q, abs=TIGHT.gap_tol)
+
+    def test_wrong_length_rejected(self):
+        prob = build_c1(frames.random_gaussian_frame(4, 9, 13))
+        with pytest.raises(ValueError, match="dual_start"):
+            replace(prob, dual_start=np.zeros(prob.n_rows - 1))
 
 
 class TestStatusHandling:

@@ -32,7 +32,7 @@ class TestBuilders:
         fr = frames.Frame(2.0 * np.eye(3))
         with pytest.warns(RuntimeWarning, match="unit norm"):
             prob = pc.build_c1(fr)
-        diag_u = prob.row_u[prob.diag_rows]
+        diag_u = prob.row_u[np.arange(3)]
         assert np.abs(np.linalg.norm(diag_u, axis=1) - 1.0).max() <= 1e-12
 
     def test_c2_bound_validation(self, mercedes_benz):
