@@ -24,9 +24,10 @@ svec coordinates (the upper triangle, off-diagonal entries scaled by sqrt 2):
 with the HKM scaling ``D = X (x)_s S^-1``, the symmetric Kronecker product of
 order m(m+1)/2, factored as ``D = R R^T``, row k of U is
 ``svec(A_k)^T R``, followed by the shared scalar columns (q, extras) scaled
-by ``sqrt(x / s)``.  The system is solved densely or, for large row counts,
-by block elimination of the slack-bearing rows through the Woodbury
-identity; both paths are exact and polished by iterative refinement.
+by ``sqrt(x / s)``.  The damped slack rows are eliminated through the
+Woodbury identity when the free rows (slack-free or nearly active) and U's
+width together number fewer than the rows; otherwise the system is solved
+densely.  Both paths are exact and polished by iterative refinement.
 
 The Woodbury path never forms U.  The row vectors u_k, v_k are drawn from a
 small dictionary of distinct atoms (the frame's columns), so each row is a
@@ -425,7 +426,7 @@ def _hkm_scaling(lay: _Layout, x_psd, s_chols):
 
 
 class _SchurRows:
-    """Rows ``sub`` of the Schur factor U at one iterate, as operators.
+    """The Schur factor U at one iterate, as an operator over all k rows.
 
     The X-block columns of row k are ``svec(A_k)^T R``; products with them
     cost O(n^2 m + n m^2 + m^4 + k) over the n atoms, and ``rows``
@@ -435,48 +436,40 @@ class _SchurRows:
     all of U).
     """
 
-    def __init__(self, lay: _Layout, r_mat, scale, sub=None):
+    def __init__(self, lay: _Layout, r_mat, scale):
         self.lay = lay
         self.r_mat = r_mat
-        self.scale = scale
-        self.sub = np.arange(lay.k) if sub is None else sub
-        self.shared = lay.shared[self.sub] * scale
+        self.shared = lay.shared * scale
         self.psd_width = len(r_mat) if lay.matrix_mode else 0
         self.width = self.psd_width + len(scale)
 
-    def restrict(self, sub):
-        """The operator for rows ``sub`` of U."""
-        return _SchurRows(self.lay, self.r_mat, self.scale, sub)
-
     def rows(self, idx):
-        """Explicit rows ``idx`` (positions within ``sub``)."""
+        """Explicit rows ``idx`` of U."""
         cols = [self.shared[idx]]
         if self.lay.matrix_mode:
-            cols.insert(0, self.lay.svec_rows(self.sub[idx]) @ self.r_mat)
+            cols.insert(0, self.lay.svec_rows(idx) @ self.r_mat)
         return np.hstack(cols)
 
     def _psd_rmatvec(self, z):
-        y = np.zeros(self.lay.k)
-        y[self.sub] = z
-        return self.r_mat.T @ self.lay.svec(self.lay.adjoint_psd(y))
+        return self.r_mat.T @ self.lay.svec(self.lay.adjoint_psd(z))
 
     def rmatvec(self, z):
-        """U_sub^T z."""
+        """U^T z."""
         tail = self.shared.T @ z
         if not self.lay.matrix_mode:
             return tail
         return np.concatenate([self._psd_rmatvec(z), tail])
 
     def matvec(self, t):
-        """U_sub t."""
+        """U t."""
         lay = self.lay
         out = self.shared @ t[self.psd_width :]
         if lay.matrix_mode:
-            out += lay.apply_psd(lay.smat(self.r_mat @ t[: self.psd_width]))[self.sub]
+            out += lay.apply_psd(lay.smat(self.r_mat @ t[: self.psd_width]))
         return out
 
     def weighted_gram(self, b):
-        """U_sub^T diag(b) U_sub.
+        """U^T diag(b) U.
 
         The X block is ``R^T G R`` with ``G = sum_k b_k svec(A_k) svec(A_k)^T``.
         Every A_k is ``alpha/2 (a_i a_j^T + a_j a_i^T)`` for an atom pair
@@ -493,8 +486,7 @@ class _SchurRows:
         if not lay.matrix_mode:
             return gram
         n = len(lay.atoms)
-        w_pair = b * lay.xa[self.sub] ** 2
-        pair_w = np.bincount(lay.pair_flat[self.sub], weights=w_pair, minlength=n * n).reshape(n, n)
+        pair_w = np.bincount(lay.pair_flat, weights=b * lay.xa**2, minlength=n * n).reshape(n, n)
         pair_w += pair_w.T
         mm = (lay.kr.T @ (pair_w @ lay.kr)).ravel()
         g = 0.25 * lay.pair_scale * (mm[lay.gathers[0]] + mm[lay.gathers[1]])
@@ -509,51 +501,45 @@ class _KKTFactor:
     """Factorization of H = diag(n_diag) + U U^T for U given as a
     :class:`_SchurRows` operator.
 
-    Small systems are factored densely.  Large ones split the rows into free
-    rows (diagonal weight at or near zero: the slack-free rows and slack rows
-    that are nearly active) and damped rows B, factor the core
-    ``I + U_B^T B^-1 U_B`` from its Khatri-Rao form, and eliminate the free
-    rows through their Schur complement; only the free rows of U are ever
-    materialised.  Solves are polished by iterative refinement.
+    The free rows are those whose diagonal weight is at or near zero: the
+    slack-free rows and the slack rows that are nearly active.  When they and
+    U's width together number fewer than the k rows, the damped rows
+    (weights B) are eliminated through the Woodbury identity: the core
+    ``I + U^T B^-1 U`` comes from its Khatri-Rao form, and the free rows
+    through their Schur complement, so only the free rows of U are ever
+    materialised.  Otherwise H is formed and factored densely.  Solves are
+    polished by iterative refinement.
     """
 
-    def __init__(self, n_diag, op: _SchurRows, mode="auto"):
+    def __init__(self, n_diag, op: _SchurRows):
         self.n_diag = n_diag
         self.op = op
         self.ridges = 0
         k = len(n_diag)
-        width = op.width
-        # rows whose diagonal weight has collapsed (nearly active constraints)
-        # are moved into the directly-factorized block: this keeps the
+        # moving rows whose weight has collapsed out of the core keeps the
         # Woodbury core well scaled near convergence
         tau = 1e-11 * (1.0 + n_diag.max()) if k else 0.0
         free_mask = n_diag <= tau
         self.free = np.flatnonzero(free_mask)
-        self.damp = np.flatnonzero(~free_mask)
-        if mode == "auto":
-            mode = (
-                "woodbury"
-                if len(self.damp) > 0 and k > 384 and (len(self.free) + width) < 0.55 * k
-                else "dense"
-            )
-        self.mode = mode
-        if mode == "dense":
+        self.dense = len(self.free) + op.width >= k
+        if self.dense:
             u = op.rows(np.arange(k))
             h = u @ u.T
             h[np.diag_indices_from(h)] += n_diag
             self.fac = self._factor(h)
-        else:
-            self.binv = 1.0 / n_diag[self.damp]
-            self.u_damp = op.restrict(self.damp)
-            core = self.u_damp.weighted_gram(self.binv)
-            core[np.diag_indices_from(core)] += 1.0
-            self.core_fac = self._factor(core)
-            if len(self.free):
-                self.uf = op.rows(self.free)
-                mf = cho_solve(self.core_fac, self.uf.T, check_finite=False)
-                sf = self.uf @ mf
-                sf[np.diag_indices_from(sf)] += n_diag[self.free]
-                self.free_fac = self._factor(sf)
+            return
+        # B^-1 on the damped rows, 0 on the free rows
+        self.binv = np.zeros(k)
+        self.binv[~free_mask] = 1.0 / n_diag[~free_mask]
+        core = op.weighted_gram(self.binv)
+        core[np.diag_indices_from(core)] += 1.0
+        self.core_fac = self._factor(core)
+        if len(self.free):
+            self.uf = op.rows(self.free)
+            mf = cho_solve(self.core_fac, self.uf.T, check_finite=False)
+            sf = self.uf @ mf
+            sf[np.diag_indices_from(sf)] += n_diag[self.free]
+            self.free_fac = self._factor(sf)
 
     def _factor(self, h):
         fac, ridge = _chol_with_ridge(h)
@@ -561,20 +547,18 @@ class _KKTFactor:
         return fac
 
     def _solve_once(self, r):
-        if self.mode == "dense":
+        if self.dense:
             return cho_solve(self.fac, r, check_finite=False)
-        rf = r[self.free]
-        rd = r[self.damp]
-        t = cho_solve(self.core_fac, self.u_damp.rmatvec(self.binv * rd), check_finite=False)
-        out = np.empty_like(r)
+        op, binv = self.op, self.binv
+        t = cho_solve(self.core_fac, op.rmatvec(binv * r), check_finite=False)
+        g = r
         if len(self.free):
-            lam_f = cho_solve(self.free_fac, rf - self.uf @ t, check_finite=False)
-            g = rd - self.u_damp.matvec(self.uf.T @ lam_f)
+            lam_f = cho_solve(self.free_fac, r[self.free] - self.uf @ t, check_finite=False)
+            g = r - op.matvec(self.uf.T @ lam_f)
+        t2 = cho_solve(self.core_fac, op.rmatvec(binv * g), check_finite=False)
+        out = binv * (g - op.matvec(t2))
+        if len(self.free):
             out[self.free] = lam_f
-        else:
-            g = rd
-        t2 = cho_solve(self.core_fac, self.u_damp.rmatvec(self.binv * g), check_finite=False)
-        out[self.damp] = self.binv * (g - self.u_damp.matvec(t2))
         return out
 
     def apply(self, x):

@@ -18,7 +18,7 @@ multipliers are then the system's weights, read off as the witness.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,6 +46,9 @@ __all__ = [
 
 ACTIVE_SET_TOL = 1e-6
 CERTIFICATE_TOL = 1e-7
+# the certificate LP is solved at least this tightly (CERTIFICATE_TOL / 100),
+# so that a looser solve cannot flip a verdict near CERTIFICATE_TOL
+CERTIFICATE_SOLVE_TOL = 1e-9
 
 
 class InvalidBounds(ValueError):
@@ -182,7 +185,7 @@ def build_c2(frame: Frame, t1: float, t2: float) -> conic.ConicProblem:
     return prob
 
 
-def _finish(frame: Frame, sol: conic.ConicSolution, x: np.ndarray, tau: float) -> PreconditionResult:
+def _finish(frame: Frame, sol: conic.ConicSolution, x: np.ndarray) -> PreconditionResult:
     phi = frame.matrix
     big_m = phi.shape[1]
     n_pairs = big_m * (big_m - 1) // 2
@@ -195,7 +198,7 @@ def _finish(frame: Frame, sol: conic.ConicSolution, x: np.ndarray, tau: float) -
         )
     mapped = g @ phi
     verified = coherence(Frame(mapped))
-    pos, neg = active_sets(frame, x, sol.q, tau)
+    pos, neg = active_sets(frame, x, sol.q)
     duals = {
         "z_ii": -sol.y[:big_m],
         "z_ij": -sol.y[big_m : big_m + n_pairs],
@@ -221,19 +224,17 @@ def solve_coherence(
     frame: Frame,
     settings: conic.SolverSettings = conic.SolverSettings(),
     bounds: tuple[float, float] | None = None,
-    active_tol: float = ACTIVE_SET_TOL,
 ) -> PreconditionResult:
     """End-to-end coherence minimization: build, solve, factor, verify."""
     frame = _require_unit_norm(frame)
     prob = build_c2(frame, *bounds) if bounds is not None else build_c1(frame)
     sol = conic.solve(prob, settings)
-    return _finish(frame, sol, sol.X, active_tol)
+    return _finish(frame, sol, sol.X)
 
 
 def diagonal_lp(
     frame: Frame,
     settings: conic.SolverSettings = conic.SolverSettings(),
-    active_tol: float = ACTIVE_SET_TOL,
 ) -> PreconditionResult:
     """Coherence minimization over diagonal X only (a linear program).
 
@@ -255,7 +256,7 @@ def diagonal_lp(
         pair_neg_rows=c1.pair_neg_rows,
     )
     sol = conic.solve(prob, settings)
-    return _finish(frame, sol, np.diag(sol.extras), active_tol)
+    return _finish(frame, sol, np.diag(sol.extras))
 
 
 def squared_span_dimension(frame: Frame) -> int:
@@ -359,9 +360,11 @@ def certificate_feasibility(
     y in row order.  Rows that presolve drops as dependent carry zero
     weights, which the remaining rows make up for exactly.
 
-    Raises ``ValueError`` for an empty active set, where no pair weights can
-    sum to one, and :class:`CertificateNotOptimal` when the LP solve does not
-    reach ``Optimal``.
+    The LP runs with ``settings`` (default 300 iterations), ``gap_tol`` and
+    ``feas_tol`` capped at ``CERTIFICATE_SOLVE_TOL``.  Raises ``ValueError``
+    for an empty active set, where no pair weights can sum to one, and
+    :class:`CertificateNotOptimal` when the LP solve does not reach
+    ``Optimal``.
     """
     frame = _require_unit_norm(frame)
     mu = coherence(frame)
@@ -407,8 +410,9 @@ def certificate_feasibility(
         slack_coefs=-np.ones(n_active),
         extras=extras,
     )
-    if settings is None:
-        settings = conic.SolverSettings(gap_tol=1e-9, feas_tol=1e-9, max_iter=300)
+    settings = settings or conic.SolverSettings(max_iter=300)
+    settings = replace(settings, gap_tol=min(settings.gap_tol, CERTIFICATE_SOLVE_TOL),
+                       feas_tol=min(settings.feas_tol, CERTIFICATE_SOLVE_TOL))
     sol = conic.solve(prob, settings)
     if sol.status != conic.SolverStatus.OPTIMAL:
         raise CertificateNotOptimal(sol.status)

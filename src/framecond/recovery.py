@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 SUPPORT_TOL = 1e-8
+OMP_RES_TOL = 1e-10
 # diagonal ridge on each member's normal matrix, relative to its largest
 # entry: basis pursuit is primal degenerate below full sparsity, so some
 # normal matrices turn numerically singular near the optimum
@@ -68,13 +69,13 @@ def _result(a, y, x, iterations, method, status=None) -> RecoveryResult:
     return RecoveryResult(x, support, residual, iterations, method, status)
 
 
-def omp(a, y, k_max: int, res_tol: float = 1e-10) -> RecoveryResult:
+def omp(a, y, k_max: int) -> RecoveryResult:
     """Orthogonal matching pursuit with at most ``k_max`` atoms.
 
     Column selection uses normalized columns so non-unit norms do not bias
     the correlations; the least-squares refit runs against the original
     columns, so the estimate lives in the caller's coordinates.  Stops when
-    the residual drops below ``res_tol`` or the support reaches ``k_max``.
+    the residual drops below ``OMP_RES_TOL`` or the support reaches ``k_max``.
     """
     a = _as_array(a)
     y = np.asarray(y, dtype=float)
@@ -97,7 +98,7 @@ def omp(a, y, k_max: int, res_tol: float = 1e-10) -> RecoveryResult:
         qmat, rmat = np.linalg.qr(sub)
         coef = solve_triangular(rmat, qmat.T @ y, lower=False)
         residual = y - sub @ coef
-        if np.linalg.norm(residual) <= res_tol:
+        if np.linalg.norm(residual) <= OMP_RES_TOL:
             break
     x[support] = coef if support else 0.0
     return _result(a, y, x, iterations, "OMP")

@@ -32,8 +32,22 @@ def schur_rows_at(prob, iters):
     """The Schur operator at the iterate a solve capped at ``iters`` returns."""
     _, xs, ss, x_lin, s_lin = iterate_at(prob, iters)
     lay = conic._Layout(prob)
-    r_mat, _ = conic._hkm_scaling(lay, xs, [np.linalg.cholesky(s) for s in ss])
+    r_mat = None
+    if lay.matrix_mode:
+        r_mat, _ = conic._hkm_scaling(lay, xs, [np.linalg.cholesky(s) for s in ss])
     return conic._SchurRows(lay, r_mat, np.sqrt((x_lin / s_lin)[lay.shared_idx]))
+
+
+def basis_pursuit_lp(a, y):
+    """The split basis-pursuit LP: rows ``a (u - v) = y`` and
+    ``sum(u + v) - q = 0``, with u, v as extras."""
+    m, big_m = a.shape
+    extras = np.zeros((m + 1, 2 * big_m))
+    extras[:m] = np.hstack([a, -a])
+    extras[m] = 1.0
+    row_q = np.zeros(m + 1)
+    row_q[m] = -1.0
+    return conic.ConicProblem(psd_dim=0, rhs=np.append(y, 0.0), row_q=row_q, extras=extras)
 
 
 def svec_basis(m):
@@ -198,32 +212,49 @@ class TestPresolve:
 
 
 class TestKKTModes:
-    def test_factor_solves_linear_system(self):
-        # 10 unit-norm rows, independent in the 15-dimensional space of X
-        prob = build_c1(frames.random_gaussian_frame(5, 10, 0))
-        op = schur_rows_at(prob, 3)
-        k = prob.n_rows
+    @staticmethod
+    def check_solve(kkt, op, n):
+        k = len(n)
         rng = np.random.default_rng(0)
-        n = np.zeros(k)
-        n[10:] = rng.uniform(1e-8, 5.0, size=k - 10)   # unit-norm rows stay free
         u = op.rows(np.arange(k))
         h = u @ u.T + np.diag(n)
         r = rng.standard_normal(k)
         expect = np.linalg.solve(h, r)
-        for mode in ("dense", "woodbury"):
-            kkt = conic._KKTFactor(n, op, mode)
-            got = kkt.solve(r)
-            assert np.abs(got - expect).max() <= 1e-8 * np.abs(expect).max()
-            assert kkt.ridges == 0
-            r_bad = r.copy()
-            r_bad[0] = np.nan
-            with pytest.raises(ValueError, match="NaN or Inf"):
-                kkt.solve(r_bad)
+        got = kkt.solve(r)
+        assert np.abs(got - expect).max() <= 1e-8 * np.abs(expect).max()
+        assert kkt.ridges == 0
+        r_bad = r.copy()
+        r_bad[0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            kkt.solve(r_bad)
+
+    def test_factor_solves_linear_system(self):
+        # 10 free unit-norm rows plus width 16 against k = 100 rows
+        prob = build_c1(frames.random_gaussian_frame(5, 10, 0))
+        op = schur_rows_at(prob, 3)
+        k = prob.n_rows
+        n = np.zeros(k)
+        n[10:] = np.random.default_rng(1).uniform(1e-8, 5.0, size=k - 10)
+        kkt = conic._KKTFactor(n, op)
+        assert not kkt.dense
+        self.check_solve(kkt, op, n)
+
+    def test_wide_lp_is_dense(self):
+        # basis pursuit on a 4 x 10 matrix: 5 rows against 21 columns
+        a = np.random.default_rng(2).standard_normal((4, 10))
+        prob = basis_pursuit_lp(a, a[:, 3])
+        op = schur_rows_at(prob, 3)
+        assert (prob.n_rows, op.width) == (5, 21)
+        kkt = conic._KKTFactor(np.zeros(prob.n_rows), op)
+        assert kkt.dense
+        self.check_solve(kkt, op, np.zeros(prob.n_rows))
 
     def test_singular_system_counts_ridge(self):
-        # without slack weights H = U U^T has rank at most width < k
+        # without slack weights every row is free, so H = U U^T is factored
+        # densely; its rank is at most width < k
         op = schur_rows_at(build_c1(frames.random_gaussian_frame(5, 10, 0)), 3)
-        kkt = conic._KKTFactor(np.zeros(op.lay.k), op, "dense")
+        kkt = conic._KKTFactor(np.zeros(op.lay.k), op)
+        assert kkt.dense
         assert kkt.ridges == 1
 
 
@@ -251,8 +282,8 @@ class TestStructuredSchur:
         assert u.shape == (k, op.width) == (k, q.shape[1] + 1)
         rng = np.random.default_rng(7)
         damp = prob.slack_rows                      # the rows a Woodbury core weighs
-        u_damp = op.restrict(damp)
-        weights = rng.uniform(0.0, 3.0, len(damp))
+        weights = np.zeros(k)
+        weights[damp] = rng.uniform(0.0, 3.0, len(damp))
         t = rng.standard_normal(op.width)
         y = rng.standard_normal(k)
 
@@ -260,11 +291,9 @@ class TestStructuredSchur:
             return np.abs(got - ref).max() / np.abs(ref).max()
 
         assert rel(op.r_mat @ op.r_mat.T, d_ref) <= 1e-10
-        assert rel(u_damp.weighted_gram(weights), u[damp].T @ (weights[:, None] * u[damp])) <= 1e-12
+        assert rel(op.weighted_gram(weights), u.T @ (weights[:, None] * u)) <= 1e-12
         assert rel(op.matvec(t), u @ t) <= 1e-12
         assert rel(op.rmatvec(y), u.T @ y) <= 1e-12
-        assert rel(u_damp.matvec(t), u[damp] @ t) <= 1e-12
-        assert rel(u_damp.rmatvec(y[damp]), u[damp].T @ y[damp]) <= 1e-12
         assert rel(op.rows(np.arange(k)), u) <= 1e-12
 
 
