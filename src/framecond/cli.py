@@ -7,9 +7,10 @@ round-trip exactly and canonical output is byte-stable.  Reports are JSON
 documents with sorted keys embedding the exact configuration for replay.
 
 Exit codes: 0 success, 1 solver did not reach Optimal (without
-``--allow-inexact``), 2 usage error.  ``certify`` solves at ``--gap-tol``
-but never looser than the certificate's own 1e-9 floor, and ignores
-``--allow-inexact``: a verdict needs an ``Optimal`` solve.
+``--allow-inexact``), 2 usage error.  ``certify`` ignores the solver
+options (``--gap-tol``, ``--max-iter``, ``--allow-inexact``): its LP runs
+at the certificate's own fixed tolerances, and a verdict needs an
+``Optimal`` solve.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def _cmd_tighten(args) -> int:
 def _cmd_certify(args) -> int:
     frame = _load_frame(args.matrix)
     try:
-        cert = precondition.certificate_feasibility(frame, tol=args.tol, settings=_settings(args))
+        cert = precondition.certificate_feasibility(frame, tol=args.tol)
     except precondition.CertificateNotOptimal as exc:
         print(f"error: certificate LP status {exc.status}", file=sys.stderr)
         return 1
@@ -404,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tighten)
 
     p = sub.add_parser("certify", parents=[common],
-                       help="decide whether strict coherence improvement exists (ignores --allow-inexact)")
+                       help="decide whether strict coherence improvement exists (ignores the solver options)")
     p.add_argument("matrix")
     p.set_defaults(func=_cmd_certify)
 

@@ -18,7 +18,7 @@ multipliers are then the system's weights, read off as the witness.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,9 +46,6 @@ __all__ = [
 
 ACTIVE_SET_TOL = 1e-6
 CERTIFICATE_TOL = 1e-7
-# the certificate LP is solved at least this tightly (CERTIFICATE_TOL / 100),
-# so that a looser solve cannot flip a verdict near CERTIFICATE_TOL
-CERTIFICATE_SOLVE_TOL = 1e-9
 
 
 class InvalidBounds(ValueError):
@@ -342,7 +339,6 @@ def certificate_feasibility(
     active_pos: list | None = None,
     active_neg: list | None = None,
     tol: float = CERTIFICATE_TOL,
-    settings: conic.SolverSettings | None = None,
 ) -> CertificateSystem:
     """Decide whether the multiplier system over the active pairs at
     (I, mu(Phi)) is solvable.
@@ -360,8 +356,8 @@ def certificate_feasibility(
     y in row order.  Rows that presolve drops as dependent carry zero
     weights, which the remaining rows make up for exactly.
 
-    The LP runs with ``settings`` (default 300 iterations), ``gap_tol`` and
-    ``feas_tol`` capped at ``CERTIFICATE_SOLVE_TOL``.  Raises ``ValueError``
+    The LP is solved at fixed 1e-9 tolerances, a hundred times tighter than
+    ``CERTIFICATE_TOL``.  Raises ``ValueError``
     for an empty active set, where no pair weights can sum to one, and
     :class:`CertificateNotOptimal` when the LP solve does not reach
     ``Optimal``.
@@ -410,10 +406,7 @@ def certificate_feasibility(
         slack_coefs=-np.ones(n_active),
         extras=extras,
     )
-    settings = settings or conic.SolverSettings(max_iter=300)
-    settings = replace(settings, gap_tol=min(settings.gap_tol, CERTIFICATE_SOLVE_TOL),
-                       feas_tol=min(settings.feas_tol, CERTIFICATE_SOLVE_TOL))
-    sol = conic.solve(prob, settings)
+    sol = conic.solve(prob, conic.SolverSettings(gap_tol=1e-9, feas_tol=1e-9, max_iter=300))
     if sol.status != conic.SolverStatus.OPTIMAL:
         raise CertificateNotOptimal(sol.status)
     violation = c0 - float(sol.q)

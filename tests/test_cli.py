@@ -194,27 +194,6 @@ class TestExitCodes:
         assert captured.err == "error: certificate LP status MaxIter\n"
         assert captured.out == ""
 
-    @pytest.mark.parametrize("gap_tol, expect", [("1e-12", 1e-12), ("1e-6", 1e-9)])
-    def test_certify_settings_keep_certificate_floor(self, tmp_path, monkeypatch, gap_tol, expect):
-        real_solve = conic.solve
-        seen = []
-
-        def recording(prob, settings=conic.SolverSettings()):
-            seen.append(settings)
-            return real_solve(prob, settings)
-
-        monkeypatch.setattr(conic, "solve", recording)
-        path = tmp_path / "mb.mat"
-        cli.write_matrix(path, frames.mercedes_benz_frame().matrix)
-        assert run("certify", str(path), "--gap-tol", gap_tol) == 0
-        assert [(s.gap_tol, s.feas_tol) for s in seen] == [(expect, expect)]
-
-    def test_certify_honours_max_iter(self, tmp_path):
-        path = tmp_path / "mb.mat"
-        cli.write_matrix(path, frames.mercedes_benz_frame().matrix)
-        assert run("certify", str(path), "--max-iter", "1") == 1
-        assert run("certify", str(path), "--max-iter", "1", "--allow-inexact") == 1
-
     def test_report_replay_config(self, tmp_path):
         phi = tmp_path / "phi.mat"
         report = tmp_path / "r.json"

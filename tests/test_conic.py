@@ -240,14 +240,18 @@ class TestKKTModes:
         self.check_solve(kkt, op, n)
 
     def test_wide_lp_is_dense(self):
-        # basis pursuit on a 4 x 10 matrix: 5 rows against 21 columns
+        # basis pursuit on a 4 x 10 matrix: 5 rows against 21 columns; with
+        # one free row the width alone makes the Woodbury core too large
         a = np.random.default_rng(2).standard_normal((4, 10))
         prob = basis_pursuit_lp(a, a[:, 3])
         op = schur_rows_at(prob, 3)
         assert (prob.n_rows, op.width) == (5, 21)
-        kkt = conic._KKTFactor(np.zeros(prob.n_rows), op)
+        n = np.zeros(prob.n_rows)
+        n[1:] = np.random.default_rng(3).uniform(1e-3, 5.0, size=prob.n_rows - 1)
+        kkt = conic._KKTFactor(n, op)
+        assert len(kkt.free) == 1
         assert kkt.dense
-        self.check_solve(kkt, op, np.zeros(prob.n_rows))
+        self.check_solve(kkt, op, n)
 
     def test_singular_system_counts_ridge(self):
         # without slack weights every row is free, so H = U U^T is factored
