@@ -24,18 +24,22 @@ svec coordinates (the upper triangle, off-diagonal entries scaled by sqrt 2):
 with the HKM scaling ``D = X (x)_s S^-1``, the symmetric Kronecker product of
 order m(m+1)/2, factored as ``D = R R^T``, row k of U is
 ``svec(A_k)^T R``, followed by the shared scalar columns (q, extras) scaled
-by ``sqrt(x / s)``.  The damped slack rows are eliminated through the
-Woodbury identity when the free rows (slack-free or nearly active) and U's
-width together number fewer than the rows; otherwise the system is solved
-densely.  Both paths are exact and polished by iterative refinement.
+by ``sqrt(x / s)``.  R is kept as ``(P (x)_s P) diag(s) T``: with one PSD
+block T is the identity and row k is ``s o svec(P^T A_k P)``, so R acts only
+through m x m congruences and is never formed.  The damped slack rows are
+eliminated through the Woodbury identity when the free rows (slack-free or
+nearly active) and U's width together number fewer than the rows; otherwise
+the system is solved densely.  Both paths are exact and polished by
+iterative refinement.
 
 The Woodbury path never forms U.  The row vectors u_k, v_k are drawn from a
 small dictionary of distinct atoms (the frame's columns), so each row is a
 pair of atom indices.  Products with U and U^T reduce to an n x n gather and
-scatter over the atoms, and the core ``I + R^T G R`` needs only the weighted
-Gram ``G = sum_k b_k svec(A_k) svec(A_k)^T``: two fixed gathers of
-``P^T W P``, where P is the Khatri-Rao square of the atoms and W the n x n
-matrix of pair weights.  Only the few undamped (free) rows are materialised.
+scatter over the atoms, and the core ``I + U^T B^-1 U`` needs only the
+weighted Gram ``sum_k b_k svec(P^T A_k P) svec(P^T A_k P)^T``: two fixed
+gathers of ``K^T W K``, where K is the Khatri-Rao square of the transformed
+atoms ``atoms @ P`` and W the n x n matrix of pair weights.  Only the few
+undamped (free) rows are materialised.
 
 Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
 ``W2 = X - t2 I``, each with its own dual slack matrix.  They are affine in
@@ -262,22 +266,24 @@ class _Layout:
 
         if self.matrix_mode:
             # each row's rank-two coefficient is a pair (iu_k, iv_k) of
-            # indices into a dictionary of distinct atom vectors
-            self.atoms, inverse = np.unique(
-                np.vstack([prob.row_u, prob.row_v]), axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
+            # indices into a dictionary of distinct atom vectors, in the
+            # rows' lexicographic order (one atom per run of equal rows)
+            stack = np.vstack([prob.row_u, prob.row_v])
+            order = np.lexsort(stack.T[::-1])
+            srt = stack[order]
+            first = np.ones(len(srt), dtype=bool)
+            first[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+            self.atoms = srt[first]
+            inverse = np.empty(len(srt), dtype=int)
+            inverse[order] = np.cumsum(first) - 1
             self.iu, self.iv = inverse[: self.k], inverse[self.k :]
             self.pair_flat = self.iu * len(self.atoms) + self.iv
             self.xa = prob.row_alpha
             r, c = self.tri_r, self.tri_c = np.triu_indices(m)
             nt = len(r)
-            scale = np.where(r == c, 1.0, np.sqrt(2.0))
-            self.tri_scale = scale
-            self.pair_scale = np.outer(scale, scale)
-            # the atoms' Khatri-Rao square over the upper triangle, and the two
-            # gathers that turn P^T W P into the svec Gram (weighted_gram)
-            self.kr = self.atoms[:, r] * self.atoms[:, c]
+            self.tri_scale = np.where(r == c, 1.0, np.sqrt(2.0))
+            # the two gathers that turn K^T W K, for a Khatri-Rao square K,
+            # into the svec Gram (weighted_gram)
             pos = np.zeros((m, m), dtype=int)
             pos[r, c] = pos[c, r] = np.arange(nt)
             self.gathers = (
@@ -313,9 +319,10 @@ class _Layout:
         out[self.tri_r, self.tri_c] = out[self.tri_c, self.tri_r] = vec / self.tri_scale
         return out
 
-    def svec_rows(self, rows):
-        """svec(A_k) for the given rows, one per line."""
-        u, v = self.atoms[self.iu[rows]], self.atoms[self.iv[rows]]
+    def svec_rows(self, rows, atoms):
+        """svec(A_k) for the given rows, one per line, with ``atoms`` in place
+        of the atom dictionary (``atoms @ P`` gives ``svec(P^T A_k P)``)."""
+        u, v = atoms[self.iu[rows]], atoms[self.iv[rows]]
         r, c = self.tri_r, self.tri_c
         return (0.5 * self.xa[rows])[:, None] * self.tri_scale * (u[:, r] * v[:, c] + u[:, c] * v[:, r])
 
@@ -323,7 +330,7 @@ class _Layout:
         """``p (x)_s p`` in svec coordinates: svec(M) -> svec(p M p^T)."""
         pr, pc = p[self.tri_r], p[self.tri_c]
         r, c = self.tri_r, self.tri_c
-        return 0.5 * self.pair_scale * (pr[:, r] * pc[:, c] + pr[:, c] * pc[:, r])
+        return 0.5 * np.outer(self.tri_scale, self.tri_scale) * (pr[:, r] * pc[:, c] + pr[:, c] * pc[:, r])
 
     # ---- constraint operator ------------------------------------------------
     def apply_psd(self, x_mat):
@@ -384,21 +391,24 @@ class _Layout:
 def _hkm_scaling(lay: _Layout, x_psd, s_chols):
     """The HKM scaling of the X block in svec coordinates.
 
-    Returns ``(R, d_invs)``: R with ``R R^T = D``, where ``D^-1`` is the sum
-    of ``D_b^-1`` over the PSD blocks and ``D_b = X_b (x)_s S_b^-1``, and,
-    when there is more than one block, one function per block applying
-    ``D_b^-1`` to an svec vector.  With ``S_b = C C^T``,
-    ``C^T X_b C = V diag(g) V^T``, ``P = C^-T V``, ``Q = C V`` and
-    ``G_ij = (g_i + g_j) / 2``:
+    Returns ``((P, s, T), d_invs)``: the factor ``R = (P (x)_s P) diag(s) T``
+    of ``D = R R^T``, where ``D^-1`` is the sum of ``D_b^-1`` over the PSD
+    blocks and ``D_b = X_b (x)_s S_b^-1``, and, when there is more than one
+    block, one function per block applying ``D_b^-1`` to an svec vector.
+    With ``S_b = C C^T``, ``C^T X_b C = V diag(g) V^T``, ``P = C^-T V``,
+    ``Q = C V`` and ``G_ij = (g_i + g_j) / 2``:
 
         D_b    svec(M) = svec(P ((P^T M P) o G) P^T),
         D_b^-1 svec(M) = svec(Q ((Q^T M Q) / G) Q^T),
 
     so both come from products alone (near the central path every g is close
     to mu) and no ill-conditioned matrix of order m(m+1)/2 is inverted.  One
-    block gives ``R = (P (x)_s P) diag(G)^1/2``.  Under bounds ``D^-1`` spans
-    far more orders of magnitude than any one block, so R is the inverse
-    triangular factor of a QR factorization of ``[F_X F_W1 F_W2]^T`` with
+    block gives P, s the upper triangle of ``G^1/2`` in svec order and T the
+    identity (None): R is never formed, it acts through m x m congruences
+    (:class:`_SchurRows`).
+    Under bounds ``D^-1`` spans far more orders of magnitude than any one
+    block, so ``P = I``, ``s = 1`` and T is the inverse triangular factor of
+    a QR factorization of ``[F_X F_W1 F_W2]^T`` with
     ``F_b = (Q (x)_s Q) diag(G)^-1/2``, not of a Cholesky factorization of
     ``D^-1 = sum_b F_b F_b^T``, which would square that spread; for the same
     reason ``D_b^-1`` is applied in matrix form, never as an explicit matrix.
@@ -410,14 +420,15 @@ def _hkm_scaling(lay: _Layout, x_psd, s_chols):
         facs.append((sc, v, 0.5 * (g[:, None] + g)))
     if len(facs) == 1:
         sc, v, g_pair = facs[0]
-        return lay.skron(solve_triangular(sc, v, lower=True, trans="T")) * np.sqrt(g_pair[r, c]), []
+        return (solve_triangular(sc, v, lower=True, trans="T"), np.sqrt(g_pair[r, c]), None), []
     d_invs, f_blocks = [], []
     for sc, v, g_pair in facs:
         q = sc @ v
         d_invs.append(lambda vec, q=q, g_pair=g_pair: lay.svec(q @ ((q.T @ lay.smat(vec) @ q) / g_pair) @ q.T))
         f_blocks.append(lay.skron(q) / np.sqrt(g_pair[r, c]))
     r_q = np.linalg.qr(np.hstack(f_blocks).T, mode="r")
-    return solve_triangular(r_q, np.eye(len(r_q)), lower=False), d_invs
+    t_mat = solve_triangular(r_q, np.eye(len(r_q)), lower=False)
+    return (np.eye(len(x_psd[0])), np.ones(len(r)), t_mat), d_invs
 
 
 # --------------------------------------------------------------------------
@@ -428,55 +439,73 @@ def _hkm_scaling(lay: _Layout, x_psd, s_chols):
 class _SchurRows:
     """The Schur factor U at one iterate, as an operator over all k rows.
 
-    The X-block columns of row k are ``svec(A_k)^T R``; products with them
-    cost O(n^2 m + n m^2 + m^4 + k) over the n atoms, and ``rows``
-    materialises them only for the rows asked for.  The trailing shared
-    scalar columns, scaled by ``sqrt(x / s)``, are kept explicitly (for the
-    coherence SDP this is the single q column; for linear programs they are
-    all of U).
+    The X-block columns of row k are ``svec(A_k)^T R`` for the HKM factor
+    ``R = (P (x)_s P) diag(s) T`` of :func:`_hkm_scaling`, kept factored:
+    ``R x = svec(P smat(s o T x) P^T)`` and, by the symmetric Kronecker
+    identities, ``R^T svec(M) = T^T (s o svec(P^T M P))``, so row k is
+    ``svec(P^T A_k P)`` (atoms ``atoms @ P``) times s, then T.  Products cost
+    O(n^2 m + n m^2 + m^3 + k) over the n atoms for one PSD block (T is the
+    identity), plus O(m^4) for T under bounds; ``rows`` materialises them
+    only for the rows asked for.  The trailing shared scalar columns, scaled
+    by ``sqrt(x / s)``, are kept explicitly (for the coherence SDP this is
+    the single q column; for linear programs they are all of U).
     """
 
-    def __init__(self, lay: _Layout, r_mat, scale):
+    def __init__(self, lay: _Layout, scaling, scale):
         self.lay = lay
-        self.r_mat = r_mat
         self.shared = lay.shared * scale
-        self.psd_width = len(r_mat) if lay.matrix_mode else 0
+        self.psd_width = 0
+        if lay.matrix_mode:
+            self.p, self.s, self.t = scaling
+            self.p_atoms = lay.atoms @ self.p
+            self.psd_width = len(self.s)
         self.width = self.psd_width + len(scale)
+
+    def r_mul(self, x):
+        """``smat(R x)``."""
+        if self.t is not None:
+            x = self.t @ x
+        return self.p @ self.lay.smat(self.s * x) @ self.p.T
+
+    def rt_mul(self, mat):
+        """``R^T svec(mat)`` for a symmetric m x m matrix."""
+        out = self.s * self.lay.svec(self.p.T @ mat @ self.p)
+        return out if self.t is None else self.t.T @ out
 
     def rows(self, idx):
         """Explicit rows ``idx`` of U."""
         cols = [self.shared[idx]]
         if self.lay.matrix_mode:
-            cols.insert(0, self.lay.svec_rows(idx) @ self.r_mat)
+            u = self.lay.svec_rows(idx, self.p_atoms) * self.s
+            cols.insert(0, u if self.t is None else u @ self.t)
         return np.hstack(cols)
-
-    def _psd_rmatvec(self, z):
-        return self.r_mat.T @ self.lay.svec(self.lay.adjoint_psd(z))
 
     def rmatvec(self, z):
         """U^T z."""
         tail = self.shared.T @ z
         if not self.lay.matrix_mode:
             return tail
-        return np.concatenate([self._psd_rmatvec(z), tail])
+        return np.concatenate([self.rt_mul(self.lay.adjoint_psd(z)), tail])
 
     def matvec(self, t):
         """U t."""
         lay = self.lay
         out = self.shared @ t[self.psd_width :]
         if lay.matrix_mode:
-            out += lay.apply_psd(lay.smat(self.r_mat @ t[: self.psd_width]))
+            out += lay.apply_psd(self.r_mul(t[: self.psd_width]))
         return out
 
     def weighted_gram(self, b):
         """U^T diag(b) U.
 
-        The X block is ``R^T G R`` with ``G = sum_k b_k svec(A_k) svec(A_k)^T``.
-        Every A_k is ``alpha/2 (a_i a_j^T + a_j a_i^T)`` for an atom pair
-        (i, j).  Grouping the rows by pair into the symmetric n x n weight
-        matrix W and writing P for the atoms' Khatri-Rao square (row i holds
-        the upper triangle of ``a_i a_i^T``), the (pq, rs) entry of G is
-        ``c_pq c_rs / 4 (M[pr, qs] + M[ps, qr])`` with ``M = P^T W P``.
+        The X block is ``T^T diag(s) G diag(s) T`` with G the Gram
+        ``sum_k b_k svec(P^T A_k P) svec(P^T A_k P)^T``.  Every A_k is
+        ``alpha/2 (a_i a_j^T + a_j a_i^T)`` for an atom pair (i, j), so
+        ``P^T A_k P`` is the same with the atoms ``a_i^T P``.  Grouping the
+        rows by pair into the symmetric n x n weight matrix W and writing K
+        for the Khatri-Rao square of those atoms (row i holds the upper
+        triangle of ``P^T a_i a_i^T P``), the (pq, rs) entry of G is
+        ``c_pq c_rs / 4 (M[pr, qs] + M[ps, qr])`` with ``M = K^T W K``.
         """
         lay = self.lay
         gram = np.zeros((self.width, self.width))
@@ -488,11 +517,13 @@ class _SchurRows:
         n = len(lay.atoms)
         pair_w = np.bincount(lay.pair_flat, weights=b * lay.xa**2, minlength=n * n).reshape(n, n)
         pair_w += pair_w.T
-        mm = (lay.kr.T @ (pair_w @ lay.kr)).ravel()
-        g = 0.25 * lay.pair_scale * (mm[lay.gathers[0]] + mm[lay.gathers[1]])
-        gram[:off, :off] = self.r_mat.T @ g @ self.r_mat
+        kr = self.p_atoms[:, lay.tri_r] * self.p_atoms[:, lay.tri_c]
+        mm = (kr.T @ (pair_w @ kr)).ravel()
+        coef = lay.tri_scale * self.s
+        g = 0.25 * np.outer(coef, coef) * (mm[lay.gathers[0]] + mm[lay.gathers[1]])
+        gram[:off, :off] = g if self.t is None else self.t.T @ g @ self.t
         for j in range(weighted.shape[1]):
-            gram[:off, off + j] = self._psd_rmatvec(weighted[:, j])
+            gram[:off, off + j] = self.rt_mul(lay.adjoint_psd(weighted[:, j]))
         gram[off:, :off] = gram[:off, off:].T
         return gram
 
@@ -602,22 +633,23 @@ class _Newton:
         self.lay = lay
         self.x_psd, self.x_lin, self.s_lin = x_psd, x_lin, s_lin
         self.rp, self.rd_mat, self.rd_lin = residuals
-        r_mat, self.d_invs = None, []
+        scaling, self.d_invs = None, []
         if lay.matrix_mode:
-            r_mat, self.d_invs = _hkm_scaling(lay, x_psd, s_chols)
+            scaling, self.d_invs = _hkm_scaling(lay, x_psd, s_chols)
             t_mats = [solve_triangular(rc, np.eye(len(rc)), lower=True).T for rc in s_chols]
             self.s_invs = [t @ t.T for t in t_mats]
-        self.r_mat = r_mat
         d_lin = x_lin / s_lin
         if not np.isfinite(d_lin).all():
             raise np.linalg.LinAlgError("scalar scaling is not finite")
         n_diag = np.zeros(lay.k)
         if lay.n_slack:
             n_diag[prob.slack_rows] = prob.slack_coefs**2 * d_lin[1 : lay.ex_off]
-        self.kkt = _KKTFactor(n_diag, _SchurRows(lay, r_mat, np.sqrt(d_lin[lay.shared_idx])))
+        self.kkt = _KKTFactor(n_diag, _SchurRows(lay, scaling, np.sqrt(d_lin[lay.shared_idx])))
 
-    def _d(self, vec):
-        return self.r_mat @ (self.r_mat.T @ vec)
+    def _d(self, mat):
+        """``D svec(mat)``; for one block ``svec(P ((P^T mat P) o G) P^T)``."""
+        op = self.kkt.op
+        return self.lay.svec(op.r_mul(op.rt_mul(mat)))
 
     def direction(self, rc_psd, rc_lin):
         lay = self.lay
@@ -627,7 +659,7 @@ class _Newton:
             h = [lay.svec(_sym(rc @ s_inv)) for rc, s_inv in zip(rc_psd, self.s_invs)]
             if self.d_invs:
                 z = sum(sign * d_inv(hb) for sign, d_inv, hb in zip(lay.signs, self.d_invs, h))
-                dz = self._d(z - lay.svec(self.rd_mat))
+                dz = self._d(lay.smat(z) - self.rd_mat)
             else:
                 x_mat, s_inv = self.x_psd[0], self.s_invs[0]
                 dz = h[0] - lay.svec(_sym(x_mat @ self.rd_mat @ s_inv))
@@ -640,7 +672,7 @@ class _Newton:
         if not lay.matrix_mode:
             return [], dx_lin, dy, [], ds_lin
         adj = lay.adjoint_psd(dy)
-        dx = dz + self._d(lay.svec(adj))
+        dx = dz + self._d(adj)
         ds_psd = [self.rd_mat - adj]
         for sign, d_inv, hb in zip(lay.signs[1:], self.d_invs[1:], h[1:]):
             dsb = lay.smat(d_inv(hb - sign * dx))

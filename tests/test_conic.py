@@ -32,10 +32,10 @@ def schur_rows_at(prob, iters):
     """The Schur operator at the iterate a solve capped at ``iters`` returns."""
     _, xs, ss, x_lin, s_lin = iterate_at(prob, iters)
     lay = conic._Layout(prob)
-    r_mat = None
+    scaling = None
     if lay.matrix_mode:
-        r_mat, _ = conic._hkm_scaling(lay, xs, [np.linalg.cholesky(s) for s in ss])
-    return conic._SchurRows(lay, r_mat, np.sqrt((x_lin / s_lin)[lay.shared_idx]))
+        scaling, _ = conic._hkm_scaling(lay, xs, [np.linalg.cholesky(s) for s in ss])
+    return conic._SchurRows(lay, scaling, np.sqrt((x_lin / s_lin)[lay.shared_idx]))
 
 
 def basis_pursuit_lp(a, y):
@@ -183,6 +183,19 @@ class TestCoherenceProgram:
         assert sol.q == pytest.approx(1.0, abs=1e-6)
 
 
+class TestAtomDictionary:
+    def test_matches_numpy_unique(self):
+        # 24 random columns plus exact duplicates of 8 and negatives of 8
+        base = frames.random_gaussian_frame(6, 24, 4).matrix
+        mat = np.hstack([base, base[:, :8], -base[:, 8:16]])
+        prob = build_c1(frames.Frame(mat))
+        lay = conic._Layout(prob)
+        atoms, inverse = np.unique(np.vstack([prob.row_u, prob.row_v]), axis=0, return_inverse=True)
+        assert len(lay.atoms) == 24 + 8                # the distinct columns and the negatives
+        assert (lay.atoms == atoms).all()
+        assert (np.concatenate([lay.iu, lay.iv]) == inverse.reshape(-1)).all()
+
+
 class TestPresolve:
     """``_pivoted_chol_dependents`` on the Gram matrix of rows with planted
     dependencies: the kept rows are independent and span the dropped ones."""
@@ -281,7 +294,10 @@ class TestStructuredSchur:
         q = svec_basis(prob.psd_dim)
         d_ref = np.linalg.inv(sum(np.linalg.inv(hkm_block(q, x, s)) for x, s in zip(xs, ss)))
         scale = np.sqrt(x_lin[0] / s_lin[0])      # the q column is the only shared one
-        u = np.hstack([svec_rows(prob, q) @ op.r_mat, scale * prob.row_q[:, None]])
+        # R = (P (x)_s P) diag(s) T from the operator's factors; T = None is the identity
+        t_mat = np.eye(len(op.s)) if op.t is None else op.t
+        r_mat = q.T @ np.kron(op.p, op.p) @ q * op.s @ t_mat
+        u = np.hstack([svec_rows(prob, q) @ r_mat, scale * prob.row_q[:, None]])
         k = len(u)
         assert u.shape == (k, op.width) == (k, q.shape[1] + 1)
         rng = np.random.default_rng(7)
@@ -294,7 +310,7 @@ class TestStructuredSchur:
         def rel(got, ref):
             return np.abs(got - ref).max() / np.abs(ref).max()
 
-        assert rel(op.r_mat @ op.r_mat.T, d_ref) <= 1e-10
+        assert rel(r_mat @ r_mat.T, d_ref) <= 1e-10
         assert rel(op.weighted_gram(weights), u.T @ (weights[:, None] * u)) <= 1e-12
         assert rel(op.matvec(t), u @ t) <= 1e-12
         assert rel(op.rmatvec(y), u.T @ y) <= 1e-12

@@ -81,6 +81,28 @@ class TestSolveCoherence:
         assert res.q == pytest.approx(frames.welch_bound(3, 4), abs=1e-5)
 
 
+class TestAdversarialSizes:
+    """m = 1 and m = M - 1 frames, with and without eigenvalue bounds."""
+
+    @pytest.mark.parametrize("bounds", [None, (2.0, 0.5)], ids=["c1", "c2"])
+    @pytest.mark.parametrize("shape", [(1, 8, 0), (1, 16, 3)], ids=["1x8", "1x16"])
+    def test_single_row(self, shape, bounds):
+        # every column of a unit-norm 1 x M frame is +-1, so every G keeps
+        # coherence 1
+        res = pc.solve_coherence(frames.random_gaussian_frame(*shape), bounds=bounds)
+        assert res.solution.status == conic.SolverStatus.OPTIMAL
+        assert res.q == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("bounds", [None, (2.0, 0.5)], ids=["c1", "c2"])
+    @pytest.mark.parametrize("shape", [(15, 16, 0), (7, 8, 2)], ids=["15x16", "7x8"])
+    def test_one_row_short_of_square(self, shape, bounds):
+        fr = frames.random_gaussian_frame(*shape)
+        res = pc.solve_coherence(fr, bounds=bounds)
+        assert res.solution.status == conic.SolverStatus.OPTIMAL
+        assert res.verified_coherence == pytest.approx(res.q, abs=1e-5)
+        assert frames.welch_bound(fr.m, fr.n_vectors) <= res.q <= frames.coherence(fr)
+
+
 class TestDiagonalLP:
     def test_sign_pattern_witness(self, sign_pattern_frame):
         res = pc.diagonal_lp(sign_pattern_frame, SET8)
