@@ -10,7 +10,7 @@ that decides whether any strict improvement was possible at all.
 import numpy as np
 
 from framecond import conic, frames
-from framecond.precondition import build_c1, certificate_feasibility, solve_coherence
+from framecond.precondition import certificate_feasibility, kkt_residuals, solve_coherence
 
 settings = conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8)
 
@@ -35,9 +35,8 @@ print(f"certificate system feasible: {cert.feasible} -> strict improvement exist
 
 print()
 print("=== the optimum is a genuine KKT point ===")
-prob = build_c1(gauss)
 solution = solve_coherence(gauss, settings).solution
-residuals = conic.kkt_residuals(prob, solution)
+residuals = kkt_residuals(gauss, solution)
 print(f"stationarity product       : {residuals.stationarity:.2e}")
 print(f"slack complementarity (+/-): {residuals.pos_complementarity:.2e}, "
       f"{residuals.neg_complementarity:.2e}")

@@ -3,13 +3,14 @@
 The family solved here is
 
     minimize    q
-    subject to  <A_k, X>  +  c_k q  +  (slack term)  +  e_k . w  =  b_k
+    subject to  <A_k, X>  +  c_k q  +  (slack)  +  e_k . w  =  b_k
                 X PSD (m x m),  q >= 0,  slacks >= 0,  w >= 0,
                 optionally  t2 I <= X <= t1 I,
 
 where every coefficient matrix A_k is a symmetrized rank-two outer product
-``alpha_k (u_k v_k^T + v_k u_k^T) / 2`` and each slack variable appears in
-exactly one row.  Linear programs are the special case ``psd_dim == 0``.
+``alpha_k (u_k v_k^T + v_k u_k^T) / 2`` and each slack variable appears, with
+coefficient +1, in exactly one row.  Linear programs are the special case
+``psd_dim == 0``.
 
 The solver follows the central path with the HKM direction and a Mehrotra
 predictor-corrector step, fraction-to-boundary 0.98.  Iterates stay strictly
@@ -46,9 +47,13 @@ Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
 X, so they add no rows: their HKM scalings fold into the X block as
 ``D^-1 = D_X^-1 + D_W1^-1 + D_W2^-1``.  When ``t1 == t2`` (to within
 ``1e-12 * max(1, t1)``) the bounds pin ``X = t1 I``; the solver then
-eliminates the matrix block and solves the remaining linear program (the
-eliminated equality rows carry zero multipliers and the bound duals take
-``sum_k y_k A_k``).
+substitutes it and solves the remaining linear program over every row, whose
+presolve drops the rows left with no variable (they carry zero multipliers);
+the bound duals take ``sum_k y_k A_k``.
+
+Presolve drops the slack-free rows that depend linearly on the others, after
+checking that their right-hand sides are the same combination of the kept
+rows' right-hand sides; an inconsistent system raises ``ValueError``.
 
 Every solve starts from X = I (the box's midpoint when I is not inside it),
 q and the extras at 1 and each slack absorbing its row's residual, and from
@@ -69,9 +74,7 @@ __all__ = [
     "SolverSettings",
     "ConicProblem",
     "ConicSolution",
-    "KKTResiduals",
     "solve",
-    "kkt_residuals",
 ]
 
 # fraction of the distance to the cone boundary that a step may cover
@@ -97,14 +100,12 @@ class ConicProblem:
 
     ``row_u``, ``row_v``, ``row_alpha`` give the rank-two matrix coefficient
     of each row (all-zero rows are fine); ``row_q`` the coefficient on q;
-    ``slack_rows``/``slack_coefs`` place each exclusive slack; ``extras`` are
-    shared nonnegative columns with zero objective.  With ``psd_dim == 0``
-    there is no matrix block and the instance is a linear program.
-    ``pair_pos_rows`` and ``pair_neg_rows`` are optional row labels for dual
-    bookkeeping; only :func:`kkt_residuals` reads them.  ``dual_start`` is an
-    optional row-multiplier vector y to start from: ``solve`` uses it when
-    its dual slacks ``c - A_lin^T y`` and ``-sum_k y_k A_k`` are interior,
-    and the generic start otherwise.
+    ``slack_rows`` places each exclusive slack, with coefficient +1 in its
+    row; ``extras`` are shared nonnegative columns with zero objective.  With
+    ``psd_dim == 0`` there is no matrix block and the instance is a linear
+    program.  ``dual_start`` is an optional row-multiplier vector y to start
+    from: ``solve`` uses it when its dual slacks ``c - A_lin^T y`` and
+    ``-sum_k y_k A_k`` are interior, and the generic start otherwise.
     """
 
     psd_dim: int
@@ -114,11 +115,8 @@ class ConicProblem:
     row_alpha: np.ndarray = None
     row_q: np.ndarray = None
     slack_rows: np.ndarray = None
-    slack_coefs: np.ndarray = None
     extras: np.ndarray = None
     eig_bounds: tuple | None = None
-    pair_pos_rows: np.ndarray = None
-    pair_neg_rows: np.ndarray = None
     dual_start: np.ndarray = None
 
     def __post_init__(self):
@@ -136,8 +134,6 @@ class ConicProblem:
         if self.slack_rows is None:
             self.slack_rows = np.zeros(0, dtype=int)
         self.slack_rows = np.asarray(self.slack_rows, dtype=int)
-        if self.slack_coefs is None:
-            self.slack_coefs = np.ones(len(self.slack_rows))
         if self.extras is None:
             self.extras = np.zeros((k, 0))
         self.row_u = np.asarray(self.row_u, dtype=float)
@@ -151,8 +147,6 @@ class ConicProblem:
             raise ValueError(f"row_alpha/row_q must have length {k}")
         if self.extras.shape[0] != k:
             raise ValueError(f"extras must have {k} rows")
-        if len(self.slack_rows) != len(self.slack_coefs):
-            raise ValueError("slack_rows and slack_coefs lengths differ")
         if len(np.unique(self.slack_rows)) != len(self.slack_rows):
             raise ValueError("each slack must own a distinct row")
         if self.eig_bounds is not None:
@@ -205,14 +199,6 @@ class ConicSolution:
     bound_info: dict = field(default_factory=dict)
     dropped_rows: np.ndarray = None
     kkt_ridges: int = 0         # factorizations that needed a diagonal ridge
-
-
-@dataclass(frozen=True)
-class KKTResiduals:
-    stationarity: float         # ||X (sum z_ii A_ii + sum (z_ij - z_ji) A_ij)||_F
-    pos_complementarity: float  # max |z_ij p_ij|
-    neg_complementarity: float  # max |z_ji q_ij|
-    normalization: float        # |q (1 - sum (z_ij + z_ji))|
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +328,7 @@ class _Layout:
         """The scalar columns' contribution to every row."""
         out = self.qcol * x_lin[0]
         if self.n_slack:
-            out[self.prob.slack_rows] += self.prob.slack_coefs * x_lin[1 : self.ex_off]
+            out[self.prob.slack_rows] += x_lin[1 : self.ex_off]
         if self.n_extra:
             out += self.ext @ x_lin[self.ex_off :]
         return out
@@ -357,7 +343,7 @@ class _Layout:
         out = np.zeros(self.n_lin)
         out[0] = self.qcol @ y
         if self.n_slack:
-            out[1 : self.ex_off] = self.prob.slack_coefs * y[self.prob.slack_rows]
+            out[1 : self.ex_off] = y[self.prob.slack_rows]
         if self.n_extra:
             out[self.ex_off :] = self.ext.T @ y
         return out
@@ -643,7 +629,7 @@ class _Newton:
             raise np.linalg.LinAlgError("scalar scaling is not finite")
         n_diag = np.zeros(lay.k)
         if lay.n_slack:
-            n_diag[prob.slack_rows] = prob.slack_coefs**2 * d_lin[1 : lay.ex_off]
+            n_diag[prob.slack_rows] = d_lin[1 : lay.ex_off]
         self.kkt = _KKTFactor(n_diag, _SchurRows(lay, scaling, np.sqrt(d_lin[lay.shared_idx])))
 
     def _d(self, mat):
@@ -701,15 +687,19 @@ def _chol_with_ridge(h):
     raise np.linalg.LinAlgError("KKT system could not be factorized")
 
 
-def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndarray]:
+def _drop_dependent_free_rows(prob: ConicProblem, feas_tol: float) -> tuple[ConicProblem, np.ndarray]:
     """Presolve: drop linearly dependent slack-free rows (e.g. duplicated
-    unit-norm constraints from parallel columns); ``solve`` reports them in
-    ``ConicSolution.dropped_rows``.
+    unit-norm constraints from parallel columns, or rows left with no
+    variable); ``solve`` reports them in ``ConicSolution.dropped_rows``.
 
-    Slack-bearing rows own a private column and can never be dependent.
+    Slack-bearing rows own a private column and can never be dependent.  A
+    dropped row is implied only if its right-hand side is the combination of
+    the kept free rows' right-hand sides that its coefficients are; when one
+    misses it by more than ``feas_tol * max(1, max|b|)`` the rows are
+    inconsistent and ``ValueError`` names them.
     """
     k = prob.n_rows
-    free = np.setdiff1d(np.arange(k), prob.slack_rows)
+    free = np.delete(np.arange(k), prob.slack_rows)
     if len(free) < 2:
         return prob, np.zeros(0, dtype=int)
     # Gram matrix of the free rows in (svec(A), q, extras) coordinates
@@ -725,7 +715,13 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
     if not len(drop_local):
         return prob, np.zeros(0, dtype=int)
     dropped = free[drop_local]
-    keep = np.setdiff1d(np.arange(k), dropped)
+    kept = np.delete(np.arange(len(free)), drop_local)
+    coef = np.linalg.lstsq(gram[np.ix_(kept, kept)], gram[np.ix_(kept, drop_local)], rcond=None)[0]
+    miss = np.abs(prob.rhs[dropped] - coef.T @ prob.rhs[free[kept]])
+    bad = dropped[miss > feas_tol * max(1.0, np.abs(prob.rhs).max())]
+    if len(bad):
+        raise ValueError(f"constraint rows {bad.tolist()} depend on other equality rows but contradict their right-hand sides")
+    keep = np.delete(np.arange(k), dropped)
     remap = -np.ones(k, dtype=int)
     remap[keep] = np.arange(len(keep))
     reduced = replace(
@@ -736,7 +732,6 @@ def _drop_dependent_free_rows(prob: ConicProblem) -> tuple[ConicProblem, np.ndar
         row_alpha=prob.row_alpha[keep],
         row_q=prob.row_q[keep],
         slack_rows=remap[prob.slack_rows],
-        slack_coefs=prob.slack_coefs,
         extras=prob.extras[keep],
         dual_start=None if prob.dual_start is None else prob.dual_start[keep],
     )
@@ -768,10 +763,13 @@ def solve(problem: ConicProblem, settings: SolverSettings = SolverSettings()) ->
     that stopped the loop.
 
     Eigenvalue bounds with ``t1 - t2 <= 1e-12 * max(1, |t1|)`` pin
-    ``X = t1 I``; the remaining linear program is solved instead.
+    ``X = t1 I``; the remaining linear program is solved instead.  Raises
+    ``ValueError`` when presolve finds dependent equality rows whose
+    right-hand sides contradict each other (for pinned bounds, rows that
+    ``X = t1 I`` violates).
     """
     n_rows_orig = problem.n_rows
-    reduced, dropped = _drop_dependent_free_rows(problem)
+    reduced, dropped = _drop_dependent_free_rows(problem, settings.feas_tol)
     bounds = reduced.eig_bounds
     if bounds is not None and bounds[0] - bounds[1] <= 1e-12 * max(1.0, abs(bounds[0])):
         sol = _solve_pinned(reduced, settings, bounds[0])
@@ -781,7 +779,7 @@ def solve(problem: ConicProblem, settings: SolverSettings = SolverSettings()) ->
         # dropped rows are implied equalities; zero multipliers keep the dual
         # constraints intact and restore the caller's row indexing
         y_full = np.zeros(n_rows_orig)
-        y_full[np.setdiff1d(np.arange(n_rows_orig), dropped)] = sol.y
+        y_full[np.delete(np.arange(n_rows_orig), dropped)] = sol.y
         sol.y = y_full
     sol.dropped_rows = dropped
     return sol
@@ -795,7 +793,7 @@ def _floor_slacks(lay: _Layout, x_mat, x_lin):
     probe[1 : lay.ex_off] = 0.0
     base = lay.apply(x_mat, probe)
     resid = lay.b[lay.prob.slack_rows] - base[lay.prob.slack_rows]
-    x_lin[1 : lay.ex_off] = np.maximum(resid / lay.prob.slack_coefs, 0.1)
+    x_lin[1 : lay.ex_off] = np.maximum(resid, 0.1)
     return x_lin
 
 
@@ -999,73 +997,24 @@ def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
 
 def _solve_pinned(problem: ConicProblem, settings: SolverSettings, t_pin: float) -> ConicSolution:
     """Bounds with t1 == t2 leave X = t_pin * I as the only matrix choice;
-    substitute it and solve the remaining LP over (q, slacks, extras)."""
+    substitute it and solve the remaining LP over (q, slacks, extras).  Rows
+    left with no variable become zero rows, which the LP's presolve drops,
+    raising ``ValueError`` if X = t_pin * I violates one."""
     fixed = problem.row_alpha * np.einsum("km,km->k", t_pin * problem.row_u, problem.row_v)
-    rhs = problem.rhs - fixed
-    has_var = (problem.row_q != 0) | (np.abs(problem.extras).sum(axis=1) > 0)
-    has_var[problem.slack_rows] = True
-    bad = np.flatnonzero(~has_var & (np.abs(rhs) > settings.feas_tol * max(1.0, np.abs(problem.rhs).max())))
-    if len(bad):
-        raise ValueError(
-            f"bounds pin X = {t_pin} * I, which contradicts constraint rows {bad.tolist()}"
-        )
-    keep = np.flatnonzero(has_var)
-    remap = -np.ones(problem.n_rows, dtype=int)
-    remap[keep] = np.arange(len(keep))
     sub = ConicProblem(
         psd_dim=0,
-        rhs=rhs[keep],
-        row_q=problem.row_q[keep],
-        slack_rows=remap[problem.slack_rows],
-        slack_coefs=problem.slack_coefs,
-        extras=problem.extras[keep],
+        rhs=problem.rhs - fixed,
+        row_q=problem.row_q,
+        slack_rows=problem.slack_rows,
+        extras=problem.extras,
     )
     sol = solve(sub, settings)
-    y = np.zeros(problem.n_rows)
-    y[keep] = sol.y
     m = problem.psd_dim
     sol.X = t_pin * np.eye(m)
     sol.dual_psd = np.zeros((m, m))
-    sol.y = y
     # X = t_pin I is interior, so S_X = 0 and the bound duals (zero blocks
     # W1, W2) take the positive and negative parts of sum_k y_k A_k
-    w, v = np.linalg.eigh(_sym((problem.row_u * (y * problem.row_alpha)[:, None]).T @ problem.row_v))
+    w, v = np.linalg.eigh(_sym((problem.row_u * (sol.y * problem.row_alpha)[:, None]).T @ problem.row_v))
     sol.bound_info = {"pinned": t_pin, "upper_dual": (v * np.maximum(w, 0.0)) @ v.T,
                       "lower_dual": (v * np.maximum(-w, 0.0)) @ v.T}
     return sol
-
-
-def kkt_residuals(problem: ConicProblem, solution: ConicSolution) -> KKTResiduals:
-    """The four complementary-slackness residuals of the coherence program.
-
-    With multipliers z_ii = -y on the unit-norm rows and z_ij, z_ji = -y on
-    the two inequality-derived row families, these are (in order) the
-    stationarity product norm ``||X S||_F`` for the X-block dual slack
-    ``S = -sum(...) + S_W1 - S_W2`` (the bound duals come from
-    ``bound_info`` when present; without a matrix block it is
-    ``||w o s||`` over the extras w with ``s = -E^T y``), the two slack
-    complementarities, and the normalization complementarity
-    ``|q (1 - sum z)|``.  Expected to sit below ``10 * gap_tol`` at Optimal.
-    """
-    if problem.pair_pos_rows is None or problem.pair_neg_rows is None:
-        raise ValueError("problem carries no pair-row labels; KKT residuals are defined for the coherence family")
-    lay = _Layout(problem)
-    if lay.matrix_mode:
-        dual_mat = -lay.adjoint_psd(solution.y)
-        info = solution.bound_info
-        if "upper_dual" in info:
-            dual_mat = dual_mat + info["upper_dual"] - info["lower_dual"]
-        stationarity = float(np.linalg.norm(solution.X @ dual_mat))
-    else:
-        extra_dual = -lay.adjoint_lin(solution.y)[lay.ex_off :]
-        stationarity = float(np.linalg.norm(solution.extras * extra_dual))
-
-    z_pos = -solution.y[problem.pair_pos_rows]
-    z_neg = -solution.y[problem.pair_neg_rows]
-    slack_of_row = dict(zip(problem.slack_rows.tolist(), range(problem.slack_count)))
-    p_pos = solution.slacks[[slack_of_row[r] for r in problem.pair_pos_rows.tolist()]]
-    p_neg = solution.slacks[[slack_of_row[r] for r in problem.pair_neg_rows.tolist()]]
-    pos_c = float(np.abs(z_pos * p_pos).max()) if len(z_pos) else 0.0
-    neg_c = float(np.abs(z_neg * p_neg).max()) if len(z_neg) else 0.0
-    norm_c = float(abs(solution.q * (1.0 - (z_pos.sum() + z_neg.sum()))))
-    return KKTResiduals(stationarity, pos_c, neg_c, norm_c)

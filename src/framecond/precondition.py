@@ -6,6 +6,9 @@ semidefinite X with unit diagonal Gram (``build_c1``), optionally under
 two-sided eigenvalue bounds on X (``build_c2``).  The preconditioner G with
 G^T G = X is read off by Cholesky (``extract_preconditioner``).
 
+``kkt_residuals`` checks a solution's complementary slackness from the frame
+alone, sharing no code with the solver.
+
 ``certificate_feasibility`` decides, through a small linear program, whether
 the identity is already optimal: the multiplier system over the active pairs
 is solvable exactly when no strict coherence decrease exists, so an
@@ -32,6 +35,7 @@ __all__ = [
     "CertificateNotOptimal",
     "PreconditionResult",
     "CertificateSystem",
+    "KKTResiduals",
     "build_c1",
     "build_c2",
     "solve_coherence",
@@ -42,6 +46,7 @@ __all__ = [
     "compose_tight_preconditioner",
     "active_sets",
     "certificate_feasibility",
+    "kkt_residuals",
 ]
 
 ACTIVE_SET_TOL = 1e-6
@@ -99,6 +104,14 @@ class CertificateSystem:
     witness: dict | None          # r_ii, r_ij, r_ji on success
 
 
+@dataclass(frozen=True)
+class KKTResiduals:
+    stationarity: float         # ||X (sum z_ii A_ii + sum (z_ij - z_ji) A_ij)||_F
+    pos_complementarity: float  # max |z_ij p_ij|
+    neg_complementarity: float  # max |z_ji q_ij|
+    normalization: float        # |q (1 - sum (z_ij + z_ji))|
+
+
 def _require_unit_norm(frame: Frame) -> Frame:
     if not frame.unit_norm:
         warnings.warn("frame columns are not unit norm; normalizing before building", RuntimeWarning, stacklevel=3)
@@ -111,9 +124,21 @@ def _pair_list(n: int) -> np.ndarray:
     return np.column_stack(iu)
 
 
+def _split_duals(y: np.ndarray, big_m: int) -> dict:
+    """The multipliers z = -y of a coherence program over M columns, by row
+    family: the M unit-norm rows (z_ii), then the P = M(M-1)/2 "+q" pair rows
+    (z_ij), then the P "-q" pair rows (z_ji), pairs in ``_pair_list`` order."""
+    n_pairs = big_m * (big_m - 1) // 2
+    if len(y) != big_m + 2 * n_pairs:
+        raise ValueError(f"a coherence program over {big_m} columns has {big_m**2} rows, got {len(y)} multipliers")
+    z = -np.asarray(y, dtype=float)
+    return {"z_ii": z[:big_m], "z_ij": z[big_m : big_m + n_pairs], "z_ji": z[big_m + n_pairs :]}
+
+
 def build_c1(frame: Frame) -> conic.ConicProblem:
     """Coherence program for ``frame``: M unit-diagonal rows plus M(M-1)
-    slack rows bounding the off-diagonal Gram entries by +/- q."""
+    slack rows bounding the off-diagonal Gram entries by +/- q (the P "+q"
+    rows of all pairs, then their P "-q" rows)."""
     frame = _require_unit_norm(frame)
     phi = frame.matrix
     m, big_m = phi.shape
@@ -152,8 +177,6 @@ def build_c1(frame: Frame) -> conic.ConicProblem:
         row_alpha=alpha,
         row_q=q_col,
         slack_rows=np.arange(big_m, k),
-        pair_pos_rows=np.arange(big_m, big_m + n_pairs),
-        pair_neg_rows=np.arange(big_m + n_pairs, k),
         dual_start=dual,
     )
 
@@ -184,8 +207,6 @@ def build_c2(frame: Frame, t1: float, t2: float) -> conic.ConicProblem:
 
 def _finish(frame: Frame, sol: conic.ConicSolution, x: np.ndarray) -> PreconditionResult:
     phi = frame.matrix
-    big_m = phi.shape[1]
-    n_pairs = big_m * (big_m - 1) // 2
     g, jitter = extract_preconditioner(x)
     if jitter > 0.0:
         warnings.warn(
@@ -196,11 +217,6 @@ def _finish(frame: Frame, sol: conic.ConicSolution, x: np.ndarray) -> Preconditi
     mapped = g @ phi
     verified = coherence(Frame(mapped))
     pos, neg = active_sets(frame, x, sol.q)
-    duals = {
-        "z_ii": -sol.y[:big_m],
-        "z_ij": -sol.y[big_m : big_m + n_pairs],
-        "z_ji": -sol.y[big_m + n_pairs :],
-    }
     sing = np.linalg.svd(g, compute_uv=False)
     return PreconditionResult(
         X=x,
@@ -208,7 +224,7 @@ def _finish(frame: Frame, sol: conic.ConicSolution, x: np.ndarray) -> Preconditi
         q=sol.q,
         verified_coherence=verified,
         coherence_before=coherence(frame),
-        duals=duals,
+        duals=_split_duals(sol.y, phi.shape[1]),
         active_pos=pos,
         active_neg=neg,
         condition_number=float(sing[0] / sing[-1]),
@@ -249,8 +265,6 @@ def diagonal_lp(
         row_q=c1.row_q,
         slack_rows=c1.slack_rows,
         extras=c1.row_alpha[:, None] * c1.row_u * c1.row_v,
-        pair_pos_rows=c1.pair_pos_rows,
-        pair_neg_rows=c1.pair_neg_rows,
     )
     sol = conic.solve(prob, settings)
     return _finish(frame, sol, np.diag(sol.extras))
@@ -350,11 +364,13 @@ def certificate_feasibility(
     one, found as the optimum of its LP dual: over lambda = lambda+ - lambda-
     on the upper-triangle entries, with ||lambda||_1 = 1, maximize nu
     subject to C^T lambda = 0 (one row per column weight) and
-    P^T lambda >= nu (one slack row per active pair).  The solver minimizes
-    q = c0 - nu with c0 = max|P| + 1, so q stays positive, and its row
-    multipliers are the primal weights: the witness (r_ii, r_ij, r_ji) is
-    y in row order.  Rows that presolve drops as dependent carry zero
-    weights, which the remaining rows make up for exactly.
+    P^T lambda >= nu (one slack row per active pair, negated so that its
+    slack enters with +1: ``-P^T lambda - q + s = -c0``).  The solver
+    minimizes q = c0 - nu with c0 = max|P| + 1, so q stays positive, and its
+    row multipliers are the primal weights: the witness is r_ii = y on the
+    column rows and r_ij, r_ji = -y on the negated pair rows.  Rows that
+    presolve drops as dependent carry zero weights, which the remaining rows
+    make up for exactly.
 
     The LP is solved at fixed 1e-9 tolerances, a hundred times tighter than
     ``CERTIFICATE_TOL``.  Raises ``ValueError``
@@ -385,27 +401,20 @@ def certificate_feasibility(
     p_mat = sign * (phi_r[:, pi] * phi_c[:, pj] + phi_r[:, pj] * phi_c[:, pi])
     c0 = float(np.abs(p_mat).max()) + 1.0
 
-    # rows: C^T lambda = 0, P^T lambda + q - s = c0, 1^T (lambda+ + lambda-) = 1
+    # rows: C^T lambda = 0, -P^T lambda - q + s = -c0, 1^T (lambda+ + lambda-) = 1
     k = big_m + n_active + 1
-    lam = np.vstack([c_mat.T, p_mat.T])
+    lam = np.vstack([c_mat.T, -p_mat.T])
     extras = np.zeros((k, 2 * len(tri_r)))
     extras[:-1] = np.hstack([lam, -lam])
     extras[-1] = 1.0
     pair_rows = np.arange(big_m, big_m + n_active)
     rhs = np.zeros(k)
-    rhs[pair_rows] = c0
+    rhs[pair_rows] = -c0
     rhs[-1] = 1.0
     q_col = np.zeros(k)
-    q_col[pair_rows] = 1.0
+    q_col[pair_rows] = -1.0
 
-    prob = conic.ConicProblem(
-        psd_dim=0,
-        rhs=rhs,
-        row_q=q_col,
-        slack_rows=pair_rows,
-        slack_coefs=-np.ones(n_active),
-        extras=extras,
-    )
+    prob = conic.ConicProblem(psd_dim=0, rhs=rhs, row_q=q_col, slack_rows=pair_rows, extras=extras)
     sol = conic.solve(prob, conic.SolverSettings(gap_tol=1e-9, feas_tol=1e-9, max_iter=300))
     if sol.status != conic.SolverStatus.OPTIMAL:
         raise CertificateNotOptimal(sol.status)
@@ -416,8 +425,8 @@ def certificate_feasibility(
         y = sol.y
         witness = {
             "r_ii": y[:big_m],
-            "r_ij": y[big_m : big_m + n_pos],
-            "r_ji": y[big_m + n_pos : big_m + n_active],
+            "r_ij": -y[big_m : big_m + n_pos],
+            "r_ji": -y[big_m + n_pos : big_m + n_active],
         }
     return CertificateSystem(
         active_pos=list(active_pos),
@@ -426,3 +435,36 @@ def certificate_feasibility(
         max_violation=violation,
         witness=witness,
     )
+
+
+def kkt_residuals(frame: Frame, solution: conic.ConicSolution) -> KKTResiduals:
+    """The four complementary-slackness residuals of a coherence-program
+    solution for ``frame`` (C1, C2 or the diagonal LP), from Phi alone.
+
+    With z from :func:`_split_duals`, ``-sum_k y_k A_k = Phi Z Phi^T`` for
+    ``Z_ii = z_ii`` and ``Z_ij = Z_ji = (z_ij - z_ji) / 2``.  Stationarity is
+    ``||X (Phi Z Phi^T + S_W1 - S_W2)||_F`` (bound duals from ``bound_info``)
+    or, without X, ``||x o diag(Phi Z Phi^T)||`` over the diagonal x; then
+    come the two slack complementarities and ``|q (1 - sum z)|``.  Expected
+    below ``10 * gap_tol`` at Optimal; ``ValueError`` unless y is M^2 long.
+    """
+    phi = _require_unit_norm(frame).matrix
+    big_m = phi.shape[1]
+    z = _split_duals(solution.y, big_m)
+    z_mat = np.zeros((big_m, big_m))
+    z_mat[np.triu_indices(big_m, k=1)] = 0.5 * (z["z_ij"] - z["z_ji"])
+    z_mat += z_mat.T
+    z_mat[np.diag_indices(big_m)] = z["z_ii"]
+    dual_mat = phi @ z_mat @ phi.T
+    if solution.X is None:
+        stationarity = float(np.linalg.norm(solution.extras * np.diag(dual_mat)))
+    else:
+        info = solution.bound_info
+        if "upper_dual" in info:
+            dual_mat = dual_mat + info["upper_dual"] - info["lower_dual"]
+        stationarity = float(np.linalg.norm(solution.X @ dual_mat))
+    n_pairs = len(z["z_ij"])
+    pos_c = float(np.abs(z["z_ij"] * solution.slacks[:n_pairs]).max(initial=0.0))
+    neg_c = float(np.abs(z["z_ji"] * solution.slacks[n_pairs:]).max(initial=0.0))
+    norm_c = float(abs(solution.q * (1.0 - (z["z_ij"].sum() + z["z_ji"].sum()))))
+    return KKTResiduals(stationarity, pos_c, neg_c, norm_c)

@@ -28,6 +28,7 @@ from framecond.precondition import (
     certificate_feasibility,
     compose_tight_preconditioner,
     diagonal_lp,
+    kkt_residuals,
     solve_coherence,
 )
 
@@ -141,10 +142,9 @@ def test_criterion_06_kkt_residuals_at_optimum():
     for fr in cases:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            prob = build_c1(fr)
-            sol = conic.solve(prob, SET)
+            sol = conic.solve(build_c1(fr), SET)
         assert sol.status == conic.SolverStatus.OPTIMAL
-        res = conic.kkt_residuals(prob, sol)
+        res = kkt_residuals(fr, sol)
         bundle = (res.stationarity, res.pos_complementarity,
                   res.neg_complementarity, res.normalization)
         assert max(bundle) <= 10 * GAP, bundle

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framecond import conic, experiments, frames
-from framecond.precondition import build_c1, build_c2, solve_coherence
+from framecond.precondition import build_c1, build_c2, kkt_residuals, solve_coherence
 
 TIGHT = conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8)
 
@@ -223,6 +223,29 @@ class TestPresolve:
         coef = np.linalg.lstsq(basis, rows[dropped].T, rcond=None)[0]
         assert np.abs(basis @ coef - rows[dropped].T).max() <= 1e-10
 
+    def test_contradictory_dependent_rows_raise(self):
+        # x1 + x2 = 1 and 2 x1 + 2 x2 = 2 are one row; x1 + x2 = 2 contradicts it
+        rhs = np.array([1.0, 2.0])
+        sol = conic.solve(conic.ConicProblem(psd_dim=0, rhs=rhs, extras=np.array([[1.0, 1.0], [2.0, 2.0]])), TIGHT)
+        assert sol.status == conic.SolverStatus.OPTIMAL and len(sol.dropped_rows) == 1
+        with pytest.raises(ValueError, match=r"rows \[1\] depend on other equality rows"):
+            conic.solve(conic.ConicProblem(psd_dim=0, rhs=rhs, extras=np.ones((2, 2))), TIGHT)
+
+    def test_duplicate_column_with_contradictory_norm_raises(self):
+        # column 8 repeats column 0, so phi_8^T X phi_8 = 2 contradicts phi_0^T X phi_0 = 1
+        base = frames.random_gaussian_frame(4, 8, 5).matrix
+        prob = build_c1(frames.Frame(np.hstack([base, base[:, :1]])))
+        prob.rhs[8] = 2.0
+        with pytest.raises(ValueError, match="contradict"):
+            conic.solve(prob, TIGHT)
+
+    def test_pinned_bounds_contradicting_unit_norm_rows_raise(self):
+        # X = 2 I gives every unit-norm row phi_i^T X phi_i = 2, not 1
+        prob = build_c1(frames.random_gaussian_frame(3, 6, 0))
+        prob.eig_bounds = (2.0, 2.0)
+        with pytest.raises(ValueError, match=r"rows \[0, 1, 2, 3, 4, 5\]"):
+            conic.solve(prob, TIGHT)
+
 
 class TestKKTModes:
     @staticmethod
@@ -339,7 +362,7 @@ def full_hkm_direction(prob, xs, ss, x_lin, s_lin, y, rc_psd, rc_lin):
     n_lin = len(x_lin)
     b_lin = np.zeros((k, n_lin))
     b_lin[:, 0] = prob.row_q
-    b_lin[prob.slack_rows, 1 + np.arange(prob.slack_count)] = prob.slack_coefs
+    b_lin[prob.slack_rows, 1 + np.arange(prob.slack_count)] = 1.0
     b_lin = sp.csr_matrix(b_lin)
     n_blk = len(xs)
     signs = [1.0, -1.0, 1.0][:n_blk]     # the sign of X in each block
@@ -427,7 +450,7 @@ class TestKKTResiduals:
     def test_small_at_optimum(self, mercedes_benz):
         prob = build_c1(mercedes_benz)
         sol = conic.solve(prob, conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6))
-        res = conic.kkt_residuals(prob, sol)
+        res = kkt_residuals(mercedes_benz, sol)
         for value in (res.stationarity, res.pos_complementarity,
                       res.neg_complementarity, res.normalization):
             assert value <= 1e-5
@@ -443,16 +466,17 @@ class TestKKTResiduals:
             pobj=0.5, dobj=0.0, gap=1.0, rel_gap=1.0, primal_infeas=0.0,
             dual_infeas=0.0, status="MaxIter", iterations=0,
         )
-        res = conic.kkt_residuals(prob, fake)
+        res = kkt_residuals(mercedes_benz, fake)
         assert res.normalization == pytest.approx(0.5, abs=1e-12)
         assert res.stationarity == pytest.approx(0.0, abs=1e-12)
 
     def test_scaled_duals_scale_normalization_affinely(self, mercedes_benz):
         prob = build_c1(mercedes_benz)
         sol = conic.solve(prob, TIGHT)
-        base = conic.kkt_residuals(prob, sol)
-        pos = prob.pair_pos_rows
-        neg = prob.pair_neg_rows
+        base = kkt_residuals(mercedes_benz, sol)
+        # 3 unit-norm rows, then the 3 "+q" and the 3 "-q" pair rows
+        pos = np.arange(3, 6)
+        neg = np.arange(6, 9)
         z_sum = -(sol.y[pos].sum() + sol.y[neg].sum())
         for t in (0.5, 2.0):
             scaled = conic.ConicSolution(
@@ -463,7 +487,7 @@ class TestKKTResiduals:
                 primal_infeas=0.0, dual_infeas=0.0, status=sol.status,
                 iterations=sol.iterations,
             )
-            res = conic.kkt_residuals(prob, scaled)
+            res = kkt_residuals(mercedes_benz, scaled)
             assert res.normalization == pytest.approx(abs(sol.q * (1 - t * z_sum)), abs=1e-9)
         assert base.normalization <= 1e-6
 
@@ -471,21 +495,21 @@ class TestKKTResiduals:
         # with 0.7 I <= X <= 1.3 I active at the optimum, the X-block dual
         # slack is -A^T y + S_W1 - S_W2: without the bound duals from
         # bound_info the stationarity product is far from zero
-        prob = build_c2(frames.random_gaussian_frame(4, 9, 13), 1.3, 0.7)
-        sol = conic.solve(prob, TIGHT)
+        fr = frames.random_gaussian_frame(4, 9, 13)
+        sol = conic.solve(build_c2(fr, 1.3, 0.7), TIGHT)
         assert sol.status == conic.SolverStatus.OPTIMAL
-        res = conic.kkt_residuals(prob, sol)
+        res = kkt_residuals(fr, sol)
         for value in (res.stationarity, res.pos_complementarity,
                       res.neg_complementarity, res.normalization):
             assert value <= 1e-5
-        bare = conic.kkt_residuals(prob, replace(sol, bound_info={}))
+        bare = kkt_residuals(fr, replace(sol, bound_info={}))
         assert bare.stationarity >= 1e-3
 
-    def test_requires_labels(self):
-        prob = one_variable_lp()
-        sol = conic.solve(prob, TIGHT)
-        with pytest.raises(ValueError):
-            conic.kkt_residuals(prob, sol)
+    def test_requires_labels(self, mercedes_benz):
+        # the residuals are defined for a coherence program's M^2 rows only
+        sol = conic.solve(one_variable_lp(), TIGHT)
+        with pytest.raises(ValueError, match="has 9 rows, got 2"):
+            kkt_residuals(mercedes_benz, sol)
 
 
 class TestEigenvalueBounds:
@@ -503,7 +527,7 @@ class TestEigenvalueBounds:
         assert (res.duals["z_ii"] == 0.0).all()
         # the bound duals carry sum_k y_k A_k, so the pinned optimum is a
         # KKT point of the bounded program
-        kkt = conic.kkt_residuals(prob, res.solution)
+        kkt = kkt_residuals(sign_pattern_frame, res.solution)
         assert kkt.stationarity <= 10 * TIGHT.gap_tol
 
     def test_nested_feasible_sets(self):

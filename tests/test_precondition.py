@@ -22,8 +22,9 @@ class TestBuilders:
 
     def test_pair_rows_share_coefficient_with_opposite_sign(self, mercedes_benz):
         prob = pc.build_c1(mercedes_benz)
-        pos = prob.pair_pos_rows
-        neg = prob.pair_neg_rows
+        # 3 unit-norm rows, then the 3 "+q" and the 3 "-q" pair rows
+        pos = np.arange(3, 6)
+        neg = np.arange(6, 9)
         assert (prob.row_u[pos] == prob.row_u[neg]).all()
         assert (prob.row_v[pos] == prob.row_v[neg]).all()
         assert (prob.row_alpha[pos] == -prob.row_alpha[neg]).all()
@@ -142,14 +143,8 @@ class TestDiagonalLP:
         sol = res.solution
         assert sol.status == conic.SolverStatus.OPTIMAL
         assert len(sol.dropped_rows) == 64 - m
-        # the LP form of the KKT residuals, on the problem diagonal_lp solves
-        c1 = pc.build_c1(fr)
-        lp = conic.ConicProblem(
-            psd_dim=0, rhs=c1.rhs, row_q=c1.row_q, slack_rows=c1.slack_rows,
-            extras=c1.row_alpha[:, None] * c1.row_u * c1.row_v,
-            pair_pos_rows=c1.pair_pos_rows, pair_neg_rows=c1.pair_neg_rows,
-        )
-        kkt = conic.kkt_residuals(lp, sol)
+        # the LP form of the KKT residuals
+        kkt = pc.kkt_residuals(fr, sol)
         for value in (kkt.stationarity, kkt.pos_complementarity, kkt.neg_complementarity, kkt.normalization):
             assert value <= 10 * settings.gap_tol
         phi = fr.matrix
