@@ -10,7 +10,8 @@ Exit codes: 0 success, 1 solver did not reach Optimal (without
 ``--allow-inexact``), 2 usage error.  ``certify`` ignores the solver
 options (``--gap-tol``, ``--max-iter``, ``--allow-inexact``): its LP runs
 at the certificate's own fixed tolerances, and a verdict needs an
-``Optimal`` solve.
+``Optimal`` solve.  Its own ``--tol`` is the largest violation that still
+reads as feasible.
 """
 
 from __future__ import annotations
@@ -375,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--report", type=str, default=None)
-    common.add_argument("--tol", type=float, default=1e-7)
     common.add_argument("--gap-tol", type=float, default=1e-7, dest="gap_tol")
     common.add_argument("--max-iter", type=int, default=200, dest="max_iter")
     common.add_argument("--allow-inexact", action="store_true", dest="allow_inexact")
@@ -407,6 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", parents=[common],
                        help="decide whether strict coherence improvement exists (ignores the solver options)")
     p.add_argument("matrix")
+    p.add_argument("--tol", type=float, default=precondition.CERTIFICATE_TOL)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("recover", parents=[common], help="sparse recovery from a measurement vector")

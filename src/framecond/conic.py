@@ -8,9 +8,9 @@ The family solved here is
                 optionally  t2 I <= X <= t1 I,
 
 where every coefficient matrix A_k is a symmetrized rank-two outer product
-``alpha_k (u_k v_k^T + v_k u_k^T) / 2`` and each slack variable appears, with
-coefficient +1, in exactly one row.  Linear programs are the special case
-``psd_dim == 0``.
+``alpha_k (a_i a_j^T + a_j a_i^T) / 2`` of a pair (i, j) of the problem's
+atom vectors and each slack variable appears, with coefficient +1, in
+exactly one row.  Linear programs are the special case ``psd_dim == 0``.
 
 The solver follows the central path with the HKM direction and a Mehrotra
 predictor-corrector step, fraction-to-boundary 0.98.  Iterates stay strictly
@@ -33,14 +33,14 @@ nearly active) and U's width together number fewer than the rows; otherwise
 the system is solved densely.  Both paths are exact and polished by
 iterative refinement.
 
-The Woodbury path never forms U.  The row vectors u_k, v_k are drawn from a
-small dictionary of distinct atoms (the frame's columns), so each row is a
-pair of atom indices.  Products with U and U^T reduce to an n x n gather and
-scatter over the atoms, and the core ``I + U^T B^-1 U`` needs only the
-weighted Gram ``sum_k b_k svec(P^T A_k P) svec(P^T A_k P)^T``: two fixed
-gathers of ``K^T W K``, where K is the Khatri-Rao square of the transformed
-atoms ``atoms @ P`` and W the n x n matrix of pair weights.  Only the few
-undamped (free) rows are materialised.
+The Woodbury path never forms U.  Each row names a pair of the n atoms (for
+the coherence program, the frame's columns), so products with U and U^T
+reduce to an n x n gather and scatter over the atoms, and the core
+``I + U^T B^-1 U`` needs only the weighted Gram
+``sum_k b_k svec(P^T A_k P) svec(P^T A_k P)^T``: two fixed gathers of
+``K^T W K``, where K is the Khatri-Rao square of the transformed atoms
+``atoms @ P`` and W the n x n matrix of pair weights.  Only the few undamped
+(free) rows are materialised.
 
 Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
 ``W2 = X - t2 I``, each with its own dual slack matrix.  They are affine in
@@ -98,20 +98,22 @@ class SolverSettings:
 class ConicProblem:
     """Structured instance of the family documented at module level.
 
-    ``row_u``, ``row_v``, ``row_alpha`` give the rank-two matrix coefficient
-    of each row (all-zero rows are fine); ``row_q`` the coefficient on q;
-    ``slack_rows`` places each exclusive slack, with coefficient +1 in its
-    row; ``extras`` are shared nonnegative columns with zero objective.  With
-    ``psd_dim == 0`` there is no matrix block and the instance is a linear
-    program.  ``dual_start`` is an optional row-multiplier vector y to start
-    from: ``solve`` uses it when its dual slacks ``c - A_lin^T y`` and
-    ``-sum_k y_k A_k`` are interior, and the generic start otherwise.
+    Row k's matrix coefficient is ``row_alpha[k] sym(a_i a_j^T)`` for
+    ``(i, j) = row_atoms[k]`` and a_i the rows of ``atoms`` (n x psd_dim; by
+    default one zero atom that every row names); ``row_q`` is the
+    coefficient on q; ``slack_rows`` places each exclusive slack, with
+    coefficient +1 in its row; ``extras`` are shared nonnegative columns with
+    zero objective.  With ``psd_dim == 0`` there is no matrix block and the
+    instance is a linear program.  ``dual_start`` is an optional
+    row-multiplier vector y to start from: ``solve`` uses it when its dual
+    slacks ``c - A_lin^T y`` and ``-sum_k y_k A_k`` are interior, and the
+    generic start otherwise.
     """
 
     psd_dim: int
     rhs: np.ndarray
-    row_u: np.ndarray = None
-    row_v: np.ndarray = None
+    atoms: np.ndarray = None
+    row_atoms: np.ndarray = None
     row_alpha: np.ndarray = None
     row_q: np.ndarray = None
     slack_rows: np.ndarray = None
@@ -123,10 +125,10 @@ class ConicProblem:
         k = len(self.rhs)
         m = self.psd_dim
         self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.row_u is None:
-            self.row_u = np.zeros((k, m))
-        if self.row_v is None:
-            self.row_v = np.zeros((k, m))
+        if self.atoms is None:
+            self.atoms = np.zeros((1, m))
+        if self.row_atoms is None:
+            self.row_atoms = np.zeros((k, 2), dtype=int)
         if self.row_alpha is None:
             self.row_alpha = np.zeros(k)
         if self.row_q is None:
@@ -136,13 +138,15 @@ class ConicProblem:
         self.slack_rows = np.asarray(self.slack_rows, dtype=int)
         if self.extras is None:
             self.extras = np.zeros((k, 0))
-        self.row_u = np.asarray(self.row_u, dtype=float)
-        self.row_v = np.asarray(self.row_v, dtype=float)
+        self.atoms = np.asarray(self.atoms, dtype=float)
+        self.row_atoms = np.asarray(self.row_atoms, dtype=int)
         self.row_alpha = np.asarray(self.row_alpha, dtype=float)
         self.row_q = np.asarray(self.row_q, dtype=float)
         self.extras = np.asarray(self.extras, dtype=float)
-        if self.row_u.shape != (k, m) or self.row_v.shape != (k, m):
-            raise ValueError(f"row_u/row_v must be ({k}, {m}) arrays")
+        if self.atoms.ndim != 2 or self.atoms.shape[1] != m:
+            raise ValueError(f"atoms must be an (n, {m}) array")
+        if self.row_atoms.shape != (k, 2) or ((self.row_atoms < 0) | (self.row_atoms >= len(self.atoms))).any():
+            raise ValueError(f"row_atoms must be a ({k}, 2) array of indices into the {len(self.atoms)} atoms")
         if self.row_alpha.shape != (k,) or self.row_q.shape != (k,):
             raise ValueError(f"row_alpha/row_q must have length {k}")
         if self.extras.shape[0] != k:
@@ -155,7 +159,7 @@ class ConicProblem:
                 raise ValueError(f"eigenvalue bounds need t1 >= t2 > 0 and finite, got {self.eig_bounds}")
             if m == 0:
                 raise ValueError("eigenvalue bounds require a full matrix variable")
-        for arr in (self.rhs, self.row_u, self.row_v, self.row_alpha, self.row_q, self.extras):
+        for arr in (self.rhs, self.atoms, self.row_alpha, self.row_q, self.extras):
             if not np.isfinite(arr).all():
                 raise ValueError("problem data contains NaN or Inf")
         if self.dual_start is not None:
@@ -197,7 +201,7 @@ class ConicSolution:
     iterations: int
     gap_history: list = field(default_factory=list)
     bound_info: dict = field(default_factory=dict)
-    dropped_rows: np.ndarray = None
+    dropped_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=int))
     kkt_ridges: int = 0         # factorizations that needed a diagonal ridge
 
 
@@ -234,7 +238,7 @@ def _lin_max_step(x, dx):
 
 class _Layout:
     """Index bookkeeping for the flattened nonnegative scalar vector
-    ``[q, slacks, extras]`` and, for a matrix X, its atom dictionary and svec
+    ``[q, slacks, extras]`` and, for a matrix X, its atom pairs and svec
     coordinates."""
 
     def __init__(self, prob: ConicProblem):
@@ -251,18 +255,8 @@ class _Layout:
         self.signs = () if not self.matrix_mode else (1.0,) if self.bounds is None else (1.0, -1.0, 1.0)
 
         if self.matrix_mode:
-            # each row's rank-two coefficient is a pair (iu_k, iv_k) of
-            # indices into a dictionary of distinct atom vectors, in the
-            # rows' lexicographic order (one atom per run of equal rows)
-            stack = np.vstack([prob.row_u, prob.row_v])
-            order = np.lexsort(stack.T[::-1])
-            srt = stack[order]
-            first = np.ones(len(srt), dtype=bool)
-            first[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-            self.atoms = srt[first]
-            inverse = np.empty(len(srt), dtype=int)
-            inverse[order] = np.cumsum(first) - 1
-            self.iu, self.iv = inverse[: self.k], inverse[self.k :]
+            self.atoms = prob.atoms
+            self.iu, self.iv = prob.row_atoms.T
             self.pair_flat = self.iu * len(self.atoms) + self.iv
             self.xa = prob.row_alpha
             r, c = self.tri_r, self.tri_c = np.triu_indices(m)
@@ -307,7 +301,7 @@ class _Layout:
 
     def svec_rows(self, rows, atoms):
         """svec(A_k) for the given rows, one per line, with ``atoms`` in place
-        of the atom dictionary (``atoms @ P`` gives ``svec(P^T A_k P)``)."""
+        of the problem's atoms (``atoms @ P`` gives ``svec(P^T A_k P)``)."""
         u, v = atoms[self.iu[rows]], atoms[self.iv[rows]]
         r, c = self.tri_r, self.tri_c
         return (0.5 * self.xa[rows])[:, None] * self.tri_scale * (u[:, r] * v[:, c] + u[:, c] * v[:, r])
@@ -702,12 +696,12 @@ def _drop_dependent_free_rows(prob: ConicProblem, feas_tol: float) -> tuple[Coni
     free = np.delete(np.arange(k), prob.slack_rows)
     if len(free) < 2:
         return prob, np.zeros(0, dtype=int)
-    # Gram matrix of the free rows in (svec(A), q, extras) coordinates
-    u, v, a = prob.row_u[free], prob.row_v[free], prob.row_alpha[free]
-    uu = u @ u.T
-    vv = v @ v.T
-    uv = u @ v.T
-    gram = 0.5 * np.outer(a, a) * (uu * vv + uv * uv.T)
+    # the free rows' Gram in (svec(A), q, extras) coordinates, svec part from
+    # the atoms' Gram g: <sym(u v^T), sym(u' v'^T)> = (g_uu' g_vv' + g_uv' g_vu') / 2
+    g = prob.atoms @ prob.atoms.T
+    (iu, iv), a = prob.row_atoms[free].T, prob.row_alpha[free]
+    uv = g[np.ix_(iu, iv)]
+    gram = 0.5 * np.outer(a, a) * (g[np.ix_(iu, iu)] * g[np.ix_(iv, iv)] + uv * uv.T)
     gram += np.outer(prob.row_q[free], prob.row_q[free])
     if prob.extra_count:
         gram += prob.extras[free] @ prob.extras[free].T
@@ -727,8 +721,7 @@ def _drop_dependent_free_rows(prob: ConicProblem, feas_tol: float) -> tuple[Coni
     reduced = replace(
         prob,
         rhs=prob.rhs[keep],
-        row_u=prob.row_u[keep],
-        row_v=prob.row_v[keep],
+        row_atoms=prob.row_atoms[keep],
         row_alpha=prob.row_alpha[keep],
         row_q=prob.row_q[keep],
         slack_rows=remap[prob.slack_rows],
@@ -766,22 +759,21 @@ def solve(problem: ConicProblem, settings: SolverSettings = SolverSettings()) ->
     ``X = t1 I``; the remaining linear program is solved instead.  Raises
     ``ValueError`` when presolve finds dependent equality rows whose
     right-hand sides contradict each other (for pinned bounds, rows that
-    ``X = t1 I`` violates).
+    ``X = t1 I`` violates).  ``dropped_rows`` lists the dropped rows, a pinned
+    solve's included, in the caller's indexing; their multipliers are 0.
     """
-    n_rows_orig = problem.n_rows
     reduced, dropped = _drop_dependent_free_rows(problem, settings.feas_tol)
     bounds = reduced.eig_bounds
     if bounds is not None and bounds[0] - bounds[1] <= 1e-12 * max(1.0, abs(bounds[0])):
         sol = _solve_pinned(reduced, settings, bounds[0])
     else:
         sol = _ipm(_Layout(reduced), settings)
-    if len(dropped):
-        # dropped rows are implied equalities; zero multipliers keep the dual
-        # constraints intact and restore the caller's row indexing
-        y_full = np.zeros(n_rows_orig)
-        y_full[np.delete(np.arange(n_rows_orig), dropped)] = sol.y
-        sol.y = y_full
-    sol.dropped_rows = dropped
+    # dropped rows are implied equalities: zero multipliers keep the dual intact
+    kept = np.delete(np.arange(problem.n_rows), dropped)
+    y_full = np.zeros(problem.n_rows)
+    y_full[kept] = sol.y
+    sol.y = y_full
+    sol.dropped_rows = np.union1d(dropped, kept[sol.dropped_rows])
     return sol
 
 
@@ -1000,21 +992,21 @@ def _solve_pinned(problem: ConicProblem, settings: SolverSettings, t_pin: float)
     substitute it and solve the remaining LP over (q, slacks, extras).  Rows
     left with no variable become zero rows, which the LP's presolve drops,
     raising ``ValueError`` if X = t_pin * I violates one."""
-    fixed = problem.row_alpha * np.einsum("km,km->k", t_pin * problem.row_u, problem.row_v)
+    lay = _Layout(problem)
+    m = problem.psd_dim
     sub = ConicProblem(
         psd_dim=0,
-        rhs=problem.rhs - fixed,
+        rhs=problem.rhs - lay.apply_psd(t_pin * np.eye(m)),
         row_q=problem.row_q,
         slack_rows=problem.slack_rows,
         extras=problem.extras,
     )
     sol = solve(sub, settings)
-    m = problem.psd_dim
     sol.X = t_pin * np.eye(m)
     sol.dual_psd = np.zeros((m, m))
     # X = t_pin I is interior, so S_X = 0 and the bound duals (zero blocks
     # W1, W2) take the positive and negative parts of sum_k y_k A_k
-    w, v = np.linalg.eigh(_sym((problem.row_u * (sol.y * problem.row_alpha)[:, None]).T @ problem.row_v))
+    w, v = np.linalg.eigh(lay.adjoint_psd(sol.y))
     sol.bound_info = {"pinned": t_pin, "upper_dual": (v * np.maximum(w, 0.0)) @ v.T,
                       "lower_dual": (v * np.maximum(-w, 0.0)) @ v.T}
     return sol

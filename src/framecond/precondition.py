@@ -6,8 +6,9 @@ semidefinite X with unit diagonal Gram (``build_c1``), optionally under
 two-sided eigenvalue bounds on X (``build_c2``).  The preconditioner G with
 G^T G = X is read off by Cholesky (``extract_preconditioner``).
 
-``kkt_residuals`` checks a solution's complementary slackness from the frame
-alone, sharing no code with the solver.
+``kkt_residuals`` checks a solution's complementary slackness, primal
+feasibility and duality gap from the frame alone, sharing no code with the
+solver.
 
 ``certificate_feasibility`` decides, through a small linear program, whether
 the identity is already optimal: the multiplier system over the active pairs
@@ -110,6 +111,8 @@ class KKTResiduals:
     pos_complementarity: float  # max |z_ij p_ij|
     neg_complementarity: float  # max |z_ji q_ij|
     normalization: float        # |q (1 - sum (z_ij + z_ji))|
+    primal_feasibility: float   # max |diag(Phi^T X Phi) - 1|, max(|(Phi^T X Phi)_ij| - q, 0)
+    duality_gap: float          # |q - d| / (1 + |q|), d the dual objective from Phi
 
 
 def _require_unit_norm(frame: Frame) -> Frame:
@@ -138,7 +141,9 @@ def _split_duals(y: np.ndarray, big_m: int) -> dict:
 def build_c1(frame: Frame) -> conic.ConicProblem:
     """Coherence program for ``frame``: M unit-diagonal rows plus M(M-1)
     slack rows bounding the off-diagonal Gram entries by +/- q (the P "+q"
-    rows of all pairs, then their P "-q" rows)."""
+    rows of all pairs, then their P "-q" rows).  The atoms are the columns
+    of Phi and each row names its Gram entry's pair: (i, i) for the
+    unit-norm rows, then (i, j), i < j, once per pair family."""
     frame = _require_unit_norm(frame)
     phi = frame.matrix
     m, big_m = phi.shape
@@ -146,24 +151,8 @@ def build_c1(frame: Frame) -> conic.ConicProblem:
         raise InvalidShape("need at least two columns")
     pairs = _pair_list(big_m)
     n_pairs = len(pairs)
-    k = big_m + 2 * n_pairs
-
-    u = np.zeros((k, m))
-    v = np.zeros((k, m))
-    alpha = np.zeros(k)
-    q_col = np.zeros(k)
-    rhs = np.zeros(k)
-
-    u[:big_m] = phi.T
-    v[:big_m] = phi.T
-    alpha[:big_m] = 1.0
-    rhs[:big_m] = 1.0
-    for offset, sign in ((big_m, 1.0), (big_m + n_pairs, -1.0)):
-        sl = slice(offset, offset + n_pairs)
-        u[sl] = phi[:, pairs[:, 0]].T
-        v[sl] = phi[:, pairs[:, 1]].T
-        alpha[sl] = sign
-        q_col[sl] = -1.0
+    diag = np.arange(big_m)
+    pair_ones = np.ones(n_pairs)
 
     # an exactly dual-feasible interior start: unit multipliers on the
     # unit-norm rows and 1/M^2 on every pair row give the X-block dual slack
@@ -171,12 +160,12 @@ def build_c1(frame: Frame) -> conic.ConicProblem:
     dual = np.concatenate([-np.ones(big_m), -np.full(2 * n_pairs, 1.0 / big_m**2)])
     return conic.ConicProblem(
         psd_dim=m,
-        rhs=rhs,
-        row_u=u,
-        row_v=v,
-        row_alpha=alpha,
-        row_q=q_col,
-        slack_rows=np.arange(big_m, k),
+        rhs=np.concatenate([np.ones(big_m), np.zeros(2 * n_pairs)]),
+        atoms=phi.T.copy(),
+        row_atoms=np.concatenate([np.column_stack([diag, diag]), pairs, pairs]),
+        row_alpha=np.concatenate([np.ones(big_m), pair_ones, -pair_ones]),
+        row_q=np.concatenate([np.zeros(big_m), -pair_ones, -pair_ones]),
+        slack_rows=np.arange(big_m, big_m + 2 * n_pairs),
         dual_start=dual,
     )
 
@@ -251,11 +240,11 @@ def diagonal_lp(
 ) -> PreconditionResult:
     """Coherence minimization over diagonal X only (a linear program).
 
-    X = diag(x) contributes ``alpha_k sum_i x_i u_ki v_ki`` to row k of
-    ``build_c1``, so x enters as m nonnegative scalar columns
-    ``alpha_k u_k o v_k`` beside q and the slacks.  The interior-point
-    iterates keep every x_i strictly positive, so the optimal scaling is
-    always invertible up to boundary jitter.
+    X = diag(x) contributes ``alpha_k sum_l x_l a_il a_jl`` to row k of
+    ``build_c1``, whose atom pair is (i, j), so x enters as m nonnegative
+    scalar columns ``alpha_k a_i o a_j`` beside q and the slacks.  The
+    interior-point iterates keep every x_i strictly positive, so the optimal
+    scaling is always invertible up to boundary jitter.
     """
     frame = _require_unit_norm(frame)
     c1 = build_c1(frame)
@@ -264,7 +253,7 @@ def diagonal_lp(
         rhs=c1.rhs,
         row_q=c1.row_q,
         slack_rows=c1.slack_rows,
-        extras=c1.row_alpha[:, None] * c1.row_u * c1.row_v,
+        extras=c1.row_alpha[:, None] * c1.atoms[c1.row_atoms[:, 0]] * c1.atoms[c1.row_atoms[:, 1]],
     )
     sol = conic.solve(prob, settings)
     return _finish(frame, sol, np.diag(sol.extras))
@@ -438,15 +427,20 @@ def certificate_feasibility(
 
 
 def kkt_residuals(frame: Frame, solution: conic.ConicSolution) -> KKTResiduals:
-    """The four complementary-slackness residuals of a coherence-program
-    solution for ``frame`` (C1, C2 or the diagonal LP), from Phi alone.
+    """The KKT residuals of a coherence-program solution for ``frame`` (C1,
+    C2 or the diagonal LP, whose X is ``diag(extras)``), from Phi alone.
 
     With z from :func:`_split_duals`, ``-sum_k y_k A_k = Phi Z Phi^T`` for
     ``Z_ii = z_ii`` and ``Z_ij = Z_ji = (z_ij - z_ji) / 2``.  Stationarity is
     ``||X (Phi Z Phi^T + S_W1 - S_W2)||_F`` (bound duals from ``bound_info``)
     or, without X, ``||x o diag(Phi Z Phi^T)||`` over the diagonal x; then
-    come the two slack complementarities and ``|q (1 - sum z)|``.  Expected
-    below ``10 * gap_tol`` at Optimal; ``ValueError`` unless y is M^2 long.
+    come the two slack complementarities and ``|q (1 - sum z)|``.  Primal
+    feasibility is the largest miss of a unit-norm row or of a pair bound
+    ``|phi_i^T X phi_j| <= q``.  The duality gap compares q with the dual
+    objective ``d = -sum z_ii + <S_W2, X - W2> - <S_W1, X + W1>`` (the bound
+    terms are ``t2 tr S_W2 - t1 tr S_W1``; W = 0 when the bounds pin X).
+    Expected below ``10 * gap_tol`` at Optimal; ``ValueError`` unless y is
+    M^2 long.
     """
     phi = _require_unit_norm(frame).matrix
     big_m = phi.shape[1]
@@ -456,15 +450,23 @@ def kkt_residuals(frame: Frame, solution: conic.ConicSolution) -> KKTResiduals:
     z_mat += z_mat.T
     z_mat[np.diag_indices(big_m)] = z["z_ii"]
     dual_mat = phi @ z_mat @ phi.T
+    x = np.diag(solution.extras) if solution.X is None else solution.X
+    dual_obj = -float(z["z_ii"].sum())
     if solution.X is None:
         stationarity = float(np.linalg.norm(solution.extras * np.diag(dual_mat)))
     else:
         info = solution.bound_info
         if "upper_dual" in info:
             dual_mat = dual_mat + info["upper_dual"] - info["lower_dual"]
+            dual_obj += float(np.tensordot(info["lower_dual"], x - info.get("lower_slack", 0.0))
+                              - np.tensordot(info["upper_dual"], x + info.get("upper_slack", 0.0)))
         stationarity = float(np.linalg.norm(solution.X @ dual_mat))
     n_pairs = len(z["z_ij"])
     pos_c = float(np.abs(z["z_ij"] * solution.slacks[:n_pairs]).max(initial=0.0))
     neg_c = float(np.abs(z["z_ji"] * solution.slacks[n_pairs:]).max(initial=0.0))
     norm_c = float(abs(solution.q * (1.0 - (z["z_ij"].sum() + z["z_ji"].sum()))))
-    return KKTResiduals(stationarity, pos_c, neg_c, norm_c)
+    gram = phi.T @ x @ phi
+    primal = max(float(np.abs(np.diag(gram) - 1.0).max()),
+                 float(np.abs(gram[np.triu_indices(big_m, k=1)]).max()) - solution.q, 0.0)
+    gap = abs(solution.q - dual_obj) / (1.0 + abs(solution.q))
+    return KKTResiduals(stationarity, pos_c, neg_c, norm_c, primal, gap)

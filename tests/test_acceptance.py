@@ -146,7 +146,8 @@ def test_criterion_06_kkt_residuals_at_optimum():
         assert sol.status == conic.SolverStatus.OPTIMAL
         res = kkt_residuals(fr, sol)
         bundle = (res.stationarity, res.pos_complementarity,
-                  res.neg_complementarity, res.normalization)
+                  res.neg_complementarity, res.normalization,
+                  res.primal_feasibility, res.duality_gap)
         assert max(bundle) <= 10 * GAP, bundle
         z_ii = -sol.y[np.arange(fr.n_vectors)]
         dual_identity = abs(sol.q - (-np.sum(z_ii)))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from framecond import cli, conic, frames
+from framecond import cli, conic, frames, precondition
 
 
 def run(*argv):
@@ -168,6 +168,20 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             run("frobnicate")
         assert info.value.code == 2
+
+    def test_tol_is_a_usage_error_outside_certify(self, tmp_path):
+        with pytest.raises(SystemExit) as info:
+            run("precondition", str(tmp_path / "phi.mat"), "--tol", "1e-3")
+        assert info.value.code == 2
+
+    def test_certify_tol_reaches_the_report(self, tmp_path, capsys):
+        path, report = tmp_path / "mb.mat", tmp_path / "r.json"
+        cli.write_matrix(path, frames.mercedes_benz_frame().matrix)
+        assert run("certify", str(path), "--report", str(report)) == 0
+        assert json.loads(report.read_text())["config"]["tol"] == precondition.CERTIFICATE_TOL
+        # the solver's --gap-tol is still accepted, and ignored
+        assert run("certify", str(path), "--tol", "1e-3", "--gap-tol", "1e-6", "--report", str(report)) == 0
+        assert json.loads(report.read_text())["config"]["tol"] == 1e-3
 
     def test_missing_file_is_two(self, tmp_path):
         assert run("analyze", str(tmp_path / "nope.mat")) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from framecond import conic, experiments, frames
-from framecond.precondition import build_c1, build_c2, kkt_residuals, solve_coherence
+from framecond.precondition import build_c1, build_c2, diagonal_lp, kkt_residuals, solve_coherence
 
 TIGHT = conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8)
 
@@ -38,6 +38,13 @@ def schur_rows_at(prob, iters):
     return conic._SchurRows(lay, scaling, np.sqrt((x_lin / s_lin)[lay.shared_idx]))
 
 
+def repeated_atoms_frame():
+    """6 x 40: 24 Gaussian columns, then exact duplicates of 8 of them and
+    negatives of 8 more, so the Khatri-Rao core sees repeated atoms."""
+    base = frames.random_gaussian_frame(6, 24, 4).matrix
+    return frames.Frame(np.hstack([base, base[:, :8], -base[:, 8:16]]))
+
+
 def basis_pursuit_lp(a, y):
     """The split basis-pursuit LP: rows ``a (u - v) = y`` and
     ``sum(u + v) - q = 0``, with u, v as extras."""
@@ -62,8 +69,9 @@ def svec_basis(m):
 
 
 def svec_rows(prob, q):
-    """svec(A_k) for every row, straight from the rank-two row data."""
-    u, v, alpha = prob.row_u, prob.row_v, prob.row_alpha
+    """svec(A_k) for every row, straight from the rows' atom pairs."""
+    pairs = prob.atoms[prob.row_atoms]
+    u, v, alpha = pairs[:, 0], pairs[:, 1], prob.row_alpha
     k, m = u.shape
     vec = (u[:, :, None] * v[:, None, :] + v[:, :, None] * u[:, None, :]).reshape(k, m * m)
     return (0.5 * alpha)[:, None] * vec @ q
@@ -101,6 +109,48 @@ class TestLinearProgram:
     def test_strong_duality(self):
         sol = conic.solve(one_variable_lp(), TIGHT)
         assert abs(sol.pobj - sol.dobj) <= 1e-7
+
+
+class TestProblemValidation:
+    """``ConicProblem`` rejects atom-pair row data it cannot solve."""
+
+    @staticmethod
+    def two_rows(**kw):
+        # rows <a_0 a_0^T, X> = 1 and <sym(a_0 a_1^T), X> = 0 over 2 x 2 X
+        data = dict(psd_dim=2, rhs=np.array([1.0, 0.0]), atoms=np.eye(2),
+                    row_atoms=np.array([[0, 0], [0, 1]]), row_alpha=np.ones(2))
+        return conic.ConicProblem(**{**data, **kw})
+
+    def test_accepts_pairs_and_defaults_to_one_zero_atom(self):
+        prob = self.two_rows()
+        assert prob.row_atoms.dtype.kind == "i"
+        lp = one_variable_lp()
+        assert lp.atoms.shape == (1, 0)
+        assert (lp.row_atoms == 0).all() and lp.row_atoms.shape == (2, 2)
+
+    def test_atoms_of_wrong_width(self):
+        with pytest.raises(ValueError, match=r"atoms must be an \(n, 2\) array"):
+            self.two_rows(atoms=np.eye(3))
+        with pytest.raises(ValueError, match=r"atoms must be an \(n, 2\) array"):
+            self.two_rows(atoms=np.ones(2))
+
+    @pytest.mark.parametrize("row_atoms", [np.zeros((2, 3), dtype=int), np.zeros((3, 2), dtype=int),
+                                           np.zeros(2, dtype=int)])
+    def test_row_atoms_not_k_by_2(self, row_atoms):
+        with pytest.raises(ValueError, match=r"row_atoms must be a \(2, 2\) array"):
+            self.two_rows(row_atoms=row_atoms)
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_row_atoms_out_of_range(self, bad):
+        with pytest.raises(ValueError, match="indices into the 2 atoms"):
+            self.two_rows(row_atoms=np.array([[0, 0], [0, bad]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_atoms(self, bad):
+        atoms = np.eye(2)
+        atoms[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            self.two_rows(atoms=atoms)
 
 
 class TestCoherenceProgram:
@@ -181,19 +231,6 @@ class TestCoherenceProgram:
         sol = conic.solve(build_c1(frames.Frame(mat)), TIGHT)
         assert sol.status == conic.SolverStatus.OPTIMAL
         assert sol.q == pytest.approx(1.0, abs=1e-6)
-
-
-class TestAtomDictionary:
-    def test_matches_numpy_unique(self):
-        # 24 random columns plus exact duplicates of 8 and negatives of 8
-        base = frames.random_gaussian_frame(6, 24, 4).matrix
-        mat = np.hstack([base, base[:, :8], -base[:, 8:16]])
-        prob = build_c1(frames.Frame(mat))
-        lay = conic._Layout(prob)
-        atoms, inverse = np.unique(np.vstack([prob.row_u, prob.row_v]), axis=0, return_inverse=True)
-        assert len(lay.atoms) == 24 + 8                # the distinct columns and the negatives
-        assert (lay.atoms == atoms).all()
-        assert (np.concatenate([lay.iu, lay.iv]) == inverse.reshape(-1)).all()
 
 
 class TestPresolve:
@@ -308,6 +345,7 @@ class TestStructuredSchur:
         [
             pytest.param(lambda: build_c1(seeded_frame(24)), id="c1-24x64"),
             pytest.param(lambda: build_c2(seeded_frame(12), 2.0, 0.5), id="c2-12x64"),
+            pytest.param(lambda: build_c1(repeated_atoms_frame()), id="c1-6x40-repeated"),
         ],
     )
     def test_operators_match_explicit_rows(self, prob):
@@ -452,7 +490,8 @@ class TestKKTResiduals:
         sol = conic.solve(prob, conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6))
         res = kkt_residuals(mercedes_benz, sol)
         for value in (res.stationarity, res.pos_complementarity,
-                      res.neg_complementarity, res.normalization):
+                      res.neg_complementarity, res.normalization,
+                      res.primal_feasibility, res.duality_gap):
             assert value <= 1e-5
 
     def test_handbuilt_point_normalization_residual(self, mercedes_benz):
@@ -502,8 +541,25 @@ class TestKKTResiduals:
         for value in (res.stationarity, res.pos_complementarity,
                       res.neg_complementarity, res.normalization):
             assert value <= 1e-5
+        assert max(res.primal_feasibility, res.duality_gap) <= 10 * TIGHT.gap_tol
         bare = kkt_residuals(fr, replace(sol, bound_info={}))
         assert bare.stationarity >= 1e-3
+        # without the bound terms the dual objective misses t2 tr S_W2 - t1 tr S_W1
+        assert bare.duality_gap >= 1e-3
+
+    @pytest.mark.parametrize("program", ["c1", "c2", "pinned", "diagonal"])
+    def test_duality_gap_matches_solver_objectives(self, program):
+        # the dual objective rebuilt from Phi and the bound blocks is the
+        # solver's own b^T y + t2 tr S_W2 - t1 tr S_W1, at any iterate
+        fr = frames.random_gaussian_frame(6, 16, 0)
+        if program == "diagonal":
+            sol = diagonal_lp(fr, conic.SolverSettings(max_iter=5)).solution
+        else:
+            prob = {"c1": build_c1, "c2": lambda f: build_c2(f, 2.0, 0.5),
+                    "pinned": lambda f: build_c2(f, 2.0, 1.0)}[program](fr)
+            sol = conic.solve(prob, conic.SolverSettings(max_iter=5))
+        res = kkt_residuals(fr, sol)
+        assert res.duality_gap == pytest.approx(abs(sol.q - sol.dobj) / (1.0 + abs(sol.q)), abs=1e-12)
 
     def test_requires_labels(self, mercedes_benz):
         # the residuals are defined for a coherence program's M^2 rows only
@@ -529,6 +585,19 @@ class TestEigenvalueBounds:
         # KKT point of the bounded program
         kkt = kkt_residuals(sign_pattern_frame, res.solution)
         assert kkt.stationarity <= 10 * TIGHT.gap_tol
+        assert kkt.primal_feasibility <= 10 * TIGHT.gap_tol
+        assert kkt.duality_gap <= 10 * TIGHT.gap_tol
+
+    def test_pinned_solve_reports_the_nested_dropped_rows(self):
+        # the bounds (2, 1) pin X = I, which leaves the 64 unit-norm rows with
+        # no variable; the nested LP drops them and the caller sees them, in
+        # its own row indexing, with zero multipliers
+        prob = build_c2(frames.random_gaussian_frame(12, 64, 0), 2.0, 1.0)
+        sol = conic.solve(prob)
+        assert sol.status == conic.SolverStatus.OPTIMAL
+        assert np.array_equal(sol.dropped_rows, np.arange(64))
+        assert len(sol.y) == prob.n_rows and (sol.y[:64] == 0.0).all()
+        assert conic.solve(build_c1(frames.random_gaussian_frame(4, 9, 13))).dropped_rows.shape == (0,)
 
     def test_nested_feasible_sets(self):
         fr = frames.random_gaussian_frame(5, 12, 9)

@@ -25,15 +25,15 @@ class TestBuilders:
         # 3 unit-norm rows, then the 3 "+q" and the 3 "-q" pair rows
         pos = np.arange(3, 6)
         neg = np.arange(6, 9)
-        assert (prob.row_u[pos] == prob.row_u[neg]).all()
-        assert (prob.row_v[pos] == prob.row_v[neg]).all()
+        pairs = prob.atoms[prob.row_atoms]
+        assert (pairs[pos] == pairs[neg]).all()
         assert (prob.row_alpha[pos] == -prob.row_alpha[neg]).all()
 
     def test_non_unit_norm_normalized_with_warning(self):
         fr = frames.Frame(2.0 * np.eye(3))
         with pytest.warns(RuntimeWarning, match="unit norm"):
             prob = pc.build_c1(fr)
-        diag_u = prob.row_u[np.arange(3)]
+        diag_u = prob.atoms[prob.row_atoms[np.arange(3), 0]]
         assert np.abs(np.linalg.norm(diag_u, axis=1) - 1.0).max() <= 1e-12
 
     def test_c2_bound_validation(self, mercedes_benz):
@@ -145,7 +145,8 @@ class TestDiagonalLP:
         assert len(sol.dropped_rows) == 64 - m
         # the LP form of the KKT residuals
         kkt = pc.kkt_residuals(fr, sol)
-        for value in (kkt.stationarity, kkt.pos_complementarity, kkt.neg_complementarity, kkt.normalization):
+        for value in (kkt.stationarity, kkt.pos_complementarity, kkt.neg_complementarity, kkt.normalization,
+                      kkt.primal_feasibility, kkt.duality_gap):
             assert value <= 10 * settings.gap_tol
         phi = fr.matrix
         iu, ju = np.triu_indices(64, k=1)
