@@ -276,7 +276,7 @@ def _cmd_recover(args) -> int:
     frame = Frame(read_matrix(args.matrix))
     y = read_matrix(args.signal).ravel()
     if args.decoder == "omp":
-        result = recovery.omp(frame, y, args.k or frame.m)
+        result = recovery.omp(frame, y, frame.m if args.k is None else args.k)
     else:
         result = recovery.basis_pursuit(frame.matrix, y, _settings(args))
     if args.out:
@@ -363,6 +363,13 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a count of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def _versions() -> dict:
     return {"framecond": __version__, "numpy": np.__version__}
 
@@ -414,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("signal")
     p.add_argument("--decoder", choices=["omp", "bp"], default="bp")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_positive_int, default=None, help="OMP support cap (default: m)")
     p.set_defaults(func=_cmd_recover)
 
     p = sub.add_parser("phase", parents=[common], help="phase-transition diagram")

@@ -547,8 +547,8 @@ class _KKTFactor:
         self.core_fac = self._factor(core)
         if len(self.free):
             self.uf = op.rows(self.free)
-            mf = cho_solve(self.core_fac, self.uf.T, check_finite=False)
-            sf = self.uf @ mf
+            self.mf = cho_solve(self.core_fac, self.uf.T, check_finite=False)
+            sf = self.uf @ self.mf
             sf[np.diag_indices_from(sf)] += n_diag[self.free]
             self.free_fac = self._factor(sf)
 
@@ -560,16 +560,15 @@ class _KKTFactor:
     def _solve_once(self, r):
         if self.dense:
             return cho_solve(self.fac, r, check_finite=False)
+        # with t = core^-1 U^T B^-1 r and lam_f the free rows' solution, the
+        # damped rows are B^-1 (r - U (t + core^-1 U_f^T lam_f))
         op, binv = self.op, self.binv
         t = cho_solve(self.core_fac, op.rmatvec(binv * r), check_finite=False)
-        g = r
-        if len(self.free):
-            lam_f = cho_solve(self.free_fac, r[self.free] - self.uf @ t, check_finite=False)
-            g = r - op.matvec(self.uf.T @ lam_f)
-        t2 = cho_solve(self.core_fac, op.rmatvec(binv * g), check_finite=False)
-        out = binv * (g - op.matvec(t2))
-        if len(self.free):
-            out[self.free] = lam_f
+        if not len(self.free):
+            return binv * (r - op.matvec(t))
+        lam_f = cho_solve(self.free_fac, r[self.free] - self.uf @ t, check_finite=False)
+        out = binv * (r - op.matvec(t + self.mf @ lam_f))
+        out[self.free] = lam_f
         return out
 
     def apply(self, x):

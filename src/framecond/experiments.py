@@ -124,9 +124,10 @@ def coherence_table(
 
 
 def _decode_row(decoder: str, a, ys, sparsities, settings: conic.SolverSettings | None):
-    """One decode per row of ``ys``: basis pursuit as one batch, OMP per signal."""
+    """Decode every row of ``ys`` in one batched call of the decoder; OMP
+    caps each row's support at its sparsity."""
     if decoder == "omp":
-        return [recovery.omp(a, y, k) for y, k in zip(ys, sparsities)]
+        return recovery.omp(a, ys, sparsities)
     if decoder == "bp":
         return recovery.basis_pursuit(a, ys, settings)
     raise ValueError(f"unknown decoder {decoder!r}")
@@ -147,8 +148,8 @@ def phase_diagram(
     preconditioner) is drawn per m and shared across the sparsity column and
     all trials, so pipelines are compared on identical frames; each trial
     replants the support and coefficients from its own generator.  All
-    signals of one m are drawn first, in (s, trial) order, and basis pursuit
-    decodes them in one batched call; OMP decodes them one at a time.
+    signals of one m are drawn first, in (s, trial) order, and decoded in
+    one batched call of the decoder.
 
     A decode counts as a success when its relative l2 error is at most
     ``SUCCESS_TOL``; a decode without an estimate (outside the column span,

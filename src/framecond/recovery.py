@@ -1,17 +1,24 @@
 """Sparse recovery decoders and preconditioner noise bounds.
 
+Both decoders take one measurement vector or a (B, m) batch of them sharing
+one matrix, and decode a batch in one vectorised pass.
+
 Orthogonal matching pursuit greedily selects the column most correlated with
-the residual and refits by least squares on the growing support.  Basis
-pursuit minimizes the l1 norm subject to exact data fit, a linear program in
-the split variables x = u - v.  A batch of measurement vectors sharing one
-matrix is solved by one vectorised Mehrotra predictor-corrector over the
-standard-form LPs: the members' m x m normal matrices are stacked and
-factored together, and each member retires once it converges (the batched
-primal-dual scheme of OptNet, Amos & Kolter 2017).  Members the batch cannot
-finish are re-solved one at a time by the shared conic interior-point
-solver.  Premultiplying the system by a nonsingular matrix leaves the
-basis-pursuit solution unchanged but can move the coherence-based recovery
-guarantee.
+the residual and refits by least squares on the growing support.  Over a
+batch, every open member takes its step at once and grows a QR factor of
+its support one column at a time, so no step refactors the support; the
+coefficients come from one back-substitution per support size (Batch-OMP,
+Rubinstein, Zibulevsky & Elad 2008).
+
+Basis pursuit minimizes the l1 norm subject to exact data fit, a linear
+program in the split variables x = u - v.  A batch is solved by one
+vectorised Mehrotra predictor-corrector over the standard-form LPs: the
+members' m x m normal matrices are stacked and factored together, and each
+member retires once it converges (the batched primal-dual scheme of OptNet,
+Amos & Kolter 2017).  Members the batch cannot finish are re-solved one at a
+time by the shared conic interior-point solver.  Premultiplying the system
+by a nonsingular matrix leaves the basis-pursuit solution unchanged but can
+move the coherence-based recovery guarantee.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import conic
 from .frames import Frame
@@ -35,6 +41,9 @@ __all__ = [
 
 SUPPORT_TOL = 1e-8
 OMP_RES_TOL = 1e-10
+# a chosen column whose part outside its support's span is at most this
+# fraction of its norm adds no direction: its coefficient would divide by it
+OMP_SPAN_TOL = 1e-12
 # diagonal ridge on each member's normal matrix, relative to its largest
 # entry: basis pursuit is primal degenerate below full sparsity, so some
 # normal matrices turn numerically singular near the optimum
@@ -63,45 +72,115 @@ def _as_array(a) -> np.ndarray:
     return as_matrix(a, "a")
 
 
-def _result(a, y, x, iterations, method, status=None) -> RecoveryResult:
-    support = tuple(int(i) for i in np.flatnonzero(np.abs(x) > SUPPORT_TOL))
-    residual = float(np.linalg.norm(a @ x - y))
-    return RecoveryResult(x, support, residual, iterations, method, status)
+def _decoder_input(a, y, k_max=None):
+    """Validate a decoder's inputs.
 
-
-def omp(a, y, k_max: int) -> RecoveryResult:
-    """Orthogonal matching pursuit with at most ``k_max`` atoms.
-
-    Column selection uses normalized columns so non-unit norms do not bias
-    the correlations; the least-squares refit runs against the original
-    columns, so the estimate lives in the caller's coordinates.  Stops when
-    the residual drops below ``OMP_RES_TOL`` or the support reaches ``k_max``.
+    Returns ``a`` as an array, ``y`` as a (B, m) batch, whether ``y`` was
+    one, and ``k_max`` as one support cap per member (None when not given).
+    Raises ValueError naming the shape when ``y`` is neither (m,) nor
+    (B, m), when it holds NaN or Inf, and when ``k_max`` is negative or is
+    neither one integer nor one per member.
     """
     a = _as_array(a)
     y = np.asarray(y, dtype=float)
     m, big_m = a.shape
+    if y.ndim not in (1, 2) or y.shape[-1] != m:
+        raise ValueError(f"y must have shape ({m},) or (B, {m}) for a {m} x {big_m} matrix, "
+                         f"got shape {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError(f"y of shape {y.shape} contains NaN or Inf entries")
+    ys = np.atleast_2d(y)
+    if k_max is None:
+        return a, ys, y.ndim == 2, None
+    ks = np.asarray(k_max)
+    shapes = [()] if y.ndim == 1 else [(), (len(ys),)]
+    if not np.issubdtype(ks.dtype, np.integer) or ks.shape not in shapes:
+        raise ValueError(f"k_max must be one integer or one per row of y (shape {y.shape}), "
+                         f"got {ks.dtype} of shape {ks.shape}")
+    if (ks < 0).any():
+        raise ValueError(f"k_max must be >= 0, got {k_max} for y of shape {y.shape}")
+    return a, ys, y.ndim == 2, np.broadcast_to(ks, len(ys))
+
+
+def _results(a, ys, xs, iterations, method, statuses=None) -> list[RecoveryResult]:
+    """One result per row of ``xs``: residuals from one matrix product,
+    supports from one threshold."""
+    residuals = np.linalg.norm(xs @ a.T - ys, axis=1)
+    on_support = np.abs(xs) > SUPPORT_TOL
+    if statuses is None:
+        statuses = [None] * len(xs)
+    return [RecoveryResult(x, tuple(np.flatnonzero(keep).tolist()), float(res), int(it), method, st)
+            for x, keep, res, it, st in zip(xs, on_support, residuals, iterations, statuses)]
+
+
+def omp(a, y, k_max) -> RecoveryResult | list[RecoveryResult]:
+    """Orthogonal matching pursuit with at most ``k_max`` atoms.
+
+    ``y`` is one measurement vector, or a (B, m) batch of them sharing
+    ``a``, and ``k_max`` one integer or one per member; a batch returns a
+    list of results in row order.  The batch runs one greedy pass: at each
+    step every open member picks its atom, the new column is orthogonalised
+    against the member's Q by two passes of classical Gram-Schmidt (R is
+    kept) and the residual loses its projection on the new direction; the
+    coefficients come from R by back-substitution at the end (Batch-OMP,
+    Rubinstein, Zibulevsky & Elad 2008).
+
+    Column selection uses normalized columns so non-unit norms do not bias
+    the correlations, and a zero column is never selected; the estimate
+    lives in the caller's coordinates.  A member stops when no unchosen
+    column correlates with its residual above ``1e-14 (1 + ||r||)``, when
+    the residual drops below ``OMP_RES_TOL``, when its support reaches
+    ``min(k_max, m)``, or when the chosen column has no part outside the
+    span of its support (relative norm at most ``OMP_SPAN_TOL``); an atom
+    that stops a member is not added.  A malformed ``y`` or ``k_max``
+    raises ValueError.
+    """
+    a, ys, batch, caps = _decoder_input(a, y, k_max)
+    m, big_m = a.shape
+    caps = np.minimum(caps, m)
+    n_b, width = len(ys), int(caps.max(initial=0))
     norms = np.linalg.norm(a, axis=0)
-    a_sel = a / norms
-    residual = y.copy()
-    support: list[int] = []
-    x = np.zeros(big_m)
-    iterations = 0
-    for iterations in range(1, min(k_max, m) + 1):
-        corr = np.abs(a_sel.T @ residual)
-        corr[support] = -1.0   # atoms are never reselected
-        best = int(np.argmax(corr))
-        if corr[best] <= 1e-14 * (1.0 + np.linalg.norm(residual)):
-            iterations -= 1
+    a_sel = np.divide(a, norms, out=np.zeros_like(a), where=norms > 0)
+    q = np.zeros((n_b, m, width))
+    r_fac = np.zeros((n_b, width, width))
+    qty = np.zeros((n_b, width))            # Q^T y
+    atoms = np.zeros((n_b, width), dtype=int)
+    sizes = np.zeros(n_b, dtype=int)
+    chosen = np.zeros((n_b, big_m), dtype=bool)
+    open_ = np.flatnonzero(caps > 0)
+    r_open = ys[open_]                      # the open members' residuals
+    for j in range(width):
+        if not len(open_):
             break
-        support.append(best)
-        sub = a[:, support]
-        qmat, rmat = np.linalg.qr(sub)
-        coef = solve_triangular(rmat, qmat.T @ y, lower=False)
-        residual = y - sub @ coef
-        if np.linalg.norm(residual) <= OMP_RES_TOL:
-            break
-    x[support] = coef if support else 0.0
-    return _result(a, y, x, iterations, "OMP")
+        corr = np.abs(r_open @ a_sel)
+        corr[chosen[open_]] = -1.0   # atoms are never reselected
+        best = corr.argmax(axis=1)
+        ok = corr[np.arange(len(open_)), best] > 1e-14 * (1.0 + np.linalg.norm(r_open, axis=1))
+        q_open, v = q[open_, :, :j], a[:, best].T
+        h = np.einsum("bij,bi->bj", q_open, v)
+        v = v - np.einsum("bij,bj->bi", q_open, h)
+        h2 = np.einsum("bij,bi->bj", q_open, v)
+        v = v - np.einsum("bij,bj->bi", q_open, h2)
+        r_jj = np.linalg.norm(v, axis=1)
+        ok &= r_jj > OMP_SPAN_TOL * norms[best]
+        open_, best, v, h, r_jj, r_open = (w[ok] for w in (open_, best, v, h + h2, r_jj, r_open))
+        v /= r_jj[:, None]
+        q[open_, :, j] = v
+        r_fac[open_, :j, j] = h
+        r_fac[open_, j, j] = r_jj
+        qty[open_, j] = np.einsum("bi,bi->b", v, ys[open_])
+        r_open -= v * np.einsum("bi,bi->b", v, r_open)[:, None]
+        atoms[open_, j], chosen[open_, best], sizes[open_] = best, True, j + 1
+        keep = (np.linalg.norm(r_open, axis=1) > OMP_RES_TOL) & (j + 1 < caps[open_])
+        open_, r_open = open_[keep], r_open[keep]
+    xs = np.zeros((n_b, big_m))
+    for k in np.unique(sizes[sizes > 0]):
+        members = np.flatnonzero(sizes == k)
+        # LU of an upper-triangular R pivots nowhere: this is back-substitution
+        coef = np.linalg.solve(r_fac[members, :k, :k], qty[members, :k, None])
+        xs[members[:, None], atoms[members, :k]] = coef[..., 0]
+    results = _results(a, ys, xs, sizes, "OMP")
+    return results if batch else results[0]
 
 
 def _is_pd(mat) -> bool:
@@ -266,12 +345,10 @@ def basis_pursuit(
     A single ``y`` outside the range of ``a`` raises Infeasible, and a
     numerical failure raises RuntimeError; in a batch such a member gets a
     NaN estimate and status ``"Infeasible"`` or ``"NumericalFailure"``
-    instead, and the other members are unaffected.
+    instead, and the other members are unaffected.  A malformed ``y``
+    raises ValueError.
     """
-    a = _as_array(a)
-    y = np.asarray(y, dtype=float)
-    batch = y.ndim == 2
-    ys = np.atleast_2d(y)
+    a, ys, batch, _ = _decoder_input(a, y)
     m, big_m = a.shape
     if settings is None:
         settings = conic.SolverSettings(gap_tol=1e-9, feas_tol=1e-9, max_iter=300)
@@ -307,8 +384,7 @@ def basis_pursuit(
             continue
         uv[i] = sol.extras
     x = sig_scale[:, None] * (uv[:, :big_m] - uv[:, big_m:])
-    results = [_result(a, yi, xi, int(it), "BP", st)
-               for yi, xi, it, st in zip(ys, x, iterations, status)]
+    results = _results(a, ys, x, iterations, "BP", status)
     return results if batch else results[0]
 
 

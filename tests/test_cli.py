@@ -121,6 +121,11 @@ class TestSubcommands:
         assert run("recover", str(phi), str(sig), "--decoder", "omp", "--k", "1",
                    "--out", str(xhat)) == 0
         assert np.abs(cli.read_matrix(xhat).ravel() - x).max() <= 1e-8
+        # without --k, OMP may use up to m atoms
+        report = tmp_path / "r.json"
+        assert run("recover", str(phi), str(sig), "--decoder", "omp", "--report", str(report)) == 0
+        doc = json.loads(report.read_text())
+        assert doc["config"]["k"] is None and doc["result"]["support"] == [3]
 
     def test_sweep_csv(self, tmp_path):
         phi = tmp_path / "phi.mat"
@@ -163,6 +168,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             run("gen", "--m", "4")   # missing --M
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("k", ["0", "-2", "two"])
+    def test_recover_k_below_one_is_a_usage_error(self, tmp_path, k, capsys):
+        with pytest.raises(SystemExit) as info:
+            run("recover", str(tmp_path / "phi.mat"), str(tmp_path / "y.mat"), "--decoder", "omp", "--k", k)
+        assert info.value.code == 2
+        assert "--k: expected an integer >= 1" in capsys.readouterr().err
 
     def test_unknown_command_is_two(self):
         with pytest.raises(SystemExit) as info:

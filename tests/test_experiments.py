@@ -89,6 +89,27 @@ class TestPhaseDiagram:
         # allow a one-trial fluctuation between neighbouring sparsities
         assert (np.diff(rates) <= 1.0 / 50 + 1e-12).all()
 
+    def test_omp_grid_matches_per_signal_decodes(self):
+        # the row-batched decode against one OMP call per signal, with the
+        # signals drawn as phase_diagram draws them
+        n_vectors, m_grid, trials, seed = 16, [3, 6, 9], 6, 5
+        diagram = experiments.phase_diagram(n_vectors, m_grid, trials, seed, pipeline="phi", decoder="omp")
+        for m in m_grid:
+            frame_seed = experiments.trial_rng(seed, experiments.FRAME_STREAM, m, 0, 0).integers(2**63)
+            frame = frames.random_gaussian_frame(m, n_vectors, int(frame_seed))
+            for s in range(1, m + 1):
+                wins = 0
+                for trial in range(trials):
+                    rng = experiments.trial_rng(seed, experiments.SIGNAL_STREAM, m, s, trial)
+                    support = rng.choice(n_vectors, size=s, replace=False)
+                    x = np.zeros(n_vectors)
+                    x[support] = rng.standard_normal(s)
+                    rec = recovery.omp(frame, frame.matrix @ x, s)
+                    wins += np.linalg.norm(rec.estimate - x) / np.linalg.norm(x) <= experiments.SUCCESS_TOL
+                assert diagram.rate(m, s) == wins / trials, (m, s)
+        rates = diagram.success_rate
+        assert ((0.0 < rates) & (rates < 1.0)).any()   # the grid is not all hits or misses
+
     def test_settings_reach_basis_pursuit(self):
         # one interior-point iteration decodes nothing, so every rate is zero
         # when the caller's settings reach the basis-pursuit solves

@@ -6,6 +6,12 @@ from framecond.precondition import solve_coherence
 
 SET8 = conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8)
 
+# a decoder path that makes NaNs or divides by zero fails instead of warning
+pytestmark = [
+    pytest.mark.filterwarnings("error:invalid value encountered:RuntimeWarning"),
+    pytest.mark.filterwarnings("error:divide by zero encountered:RuntimeWarning"),
+]
+
 
 def plant(frame, support, values):
     x = np.zeros(frame.n_vectors)
@@ -64,6 +70,117 @@ class TestOMP:
         res = recovery.omp(scaled, scaled @ x, 1)
         assert res.support == (7,)
         assert res.estimate[7] == pytest.approx(1.25, abs=1e-10)
+
+
+    def test_zero_column_never_selected(self):
+        fr = frames.random_gaussian_frame(6, 10, 9)
+        a = fr.matrix.copy()
+        a[:, 4] = 0.0
+        x = np.zeros(10)
+        x[[1, 7]] = [1.0, -0.5]
+        res = recovery.omp(a, a @ x, 6)
+        assert res.support == (1, 7)
+        assert np.abs(res.estimate - x).max() <= 1e-10
+        # with y = 0 every correlation, the zero column's included, is 0, not NaN
+        assert recovery.omp(a, np.zeros(6), 3).iterations == 0
+        assert recovery.basis_pursuit(a, a @ x).status == conic.SolverStatus.OPTIMAL
+
+    def test_near_duplicate_column_retires_the_member(self):
+        # column 0 lies within 1e-13 of column 1's span: after column 1 the
+        # residual still correlates with column 0 above the stopping level,
+        # but refitting on both would divide by that 1e-13
+        delta = 1e-13
+        a = np.array([[1.0, 1.0, 0.0], [0.0, delta, 0.0], [0.0, 0.0, 1.0]])
+        a[:, 1] /= np.linalg.norm(a[:, 1])
+        ys = np.array([[1.0, 1e3, 0.0], [1.0, 0.0, 2.0]])
+        dup, other = recovery.omp(a, ys, 3)
+        assert dup.iterations == 1 and dup.support == (1,)
+        assert np.isfinite(dup.estimate).all() and np.abs(dup.estimate).max() <= 2.0
+        assert dup.residual_norm == pytest.approx(1e3, rel=1e-9)
+        assert other.iterations == 2 and other.support == (0, 2)
+
+
+def _omp_reference(a, y, k_max):
+    """OMP as a per-signal loop that refits the whole support by least
+    squares at every step; returns (estimate, iterations)."""
+    m, big_m = a.shape
+    norms = np.linalg.norm(a, axis=0)
+    a_sel = a / np.where(norms > 0, norms, np.inf)
+    residual, support, coef = y.copy(), [], np.zeros(0)
+    for _ in range(min(k_max, m)):
+        corr = np.abs(a_sel.T @ residual)
+        corr[support] = -1.0
+        best = int(np.argmax(corr))
+        if corr[best] <= 1e-14 * (1.0 + np.linalg.norm(residual)):
+            break
+        support.append(best)
+        coef = np.linalg.lstsq(a[:, support], y, rcond=None)[0]
+        residual = y - a[:, support] @ coef
+        if np.linalg.norm(residual) <= recovery.OMP_RES_TOL:
+            break
+    x = np.zeros(big_m)
+    x[support] = coef
+    return x, len(support)
+
+
+class TestBatchedOMP:
+    def test_batch_matches_single_calls_and_the_loop(self):
+        fr = frames.random_gaussian_frame(8, 20, 31)
+        rng = np.random.default_rng(32)
+        xs, ks = [], []
+        for s in range(1, 9):            # members retire at steps 1..8
+            x = np.zeros(20)
+            x[rng.choice(20, s, replace=False)] = rng.standard_normal(s)
+            xs.append(x)
+            ks.append(s)
+        xs += [rng.standard_normal(20), rng.standard_normal(20), np.zeros(20), xs[1], xs[1]]
+        ks += [3, 12, 4, 0, 6]           # cap binds; k_max > m; zero y; k_max = 0; residual first
+        ys = np.array(xs) @ fr.matrix.T
+        batch = recovery.omp(fr, ys, np.array(ks))
+        assert isinstance(batch, list) and len(batch) == len(ys)
+        assert [rec.iterations for rec in batch] == [1, 2, 3, 4, 5, 6, 7, 8, 3, 8, 0, 0, 2]
+        for y, k, got in zip(ys, ks, batch):
+            single = recovery.omp(fr, y, k)
+            assert isinstance(single, recovery.RecoveryResult)
+            assert got.support == single.support and got.iterations == single.iterations
+            assert np.abs(got.estimate - single.estimate).max() <= 1e-10
+            ref, iterations = _omp_reference(fr.matrix, y, k)
+            assert got.iterations == iterations
+            assert got.support == tuple(np.flatnonzero(np.abs(ref) > recovery.SUPPORT_TOL))
+            assert np.abs(got.estimate - ref).max() <= 1e-10
+        # one k_max for the whole batch
+        for y, got in zip(ys, recovery.omp(fr, ys, 5)):
+            assert got.support == recovery.omp(fr, y, 5).support
+
+
+DECODERS = [lambda a, y: recovery.omp(a, y, 2), recovery.basis_pursuit]
+
+
+class TestDecoderInput:
+    @pytest.mark.parametrize("decode", DECODERS, ids=["omp", "bp"])
+    @pytest.mark.parametrize("y", [np.ones(5), np.ones((2, 5)), np.ones((1, 2, 4)), np.ones(0)],
+                             ids=["long", "long-rows", "3-D", "empty"])
+    def test_wrong_shape(self, decode, y):
+        with pytest.raises(ValueError, match=r"y must have shape \(4,\) or \(B, 4\).*got shape"):
+            decode(np.eye(4), y)
+
+    @pytest.mark.parametrize("decode", DECODERS, ids=["omp", "bp"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite(self, decode, bad):
+        y = np.ones((3, 4))
+        y[1, 2] = bad
+        with pytest.raises(ValueError, match=r"y of shape \(3, 4\) contains NaN or Inf"):
+            decode(np.eye(4), y)
+
+    def test_k_max(self):
+        with pytest.raises(ValueError, match=r"k_max must be >= 0"):
+            recovery.omp(np.eye(4), np.ones(4), -1)
+        with pytest.raises(ValueError, match=r"k_max must be >= 0"):
+            recovery.omp(np.eye(4), np.ones((2, 4)), [1, -2])
+        with pytest.raises(ValueError, match=r"one per row of y \(shape \(2, 4\)\)"):
+            recovery.omp(np.eye(4), np.ones((2, 4)), [1, 2, 3])
+        with pytest.raises(ValueError, match=r"one per row of y \(shape \(4,\)\)"):
+            recovery.omp(np.eye(4), np.ones(4), [1])
 
 
 class TestBasisPursuit:
