@@ -42,6 +42,13 @@ reduce to an n x n gather and scatter over the atoms, and the core
 ``atoms @ P`` and W the n x n matrix of pair weights.  Only the few undamped
 (free) rows are materialised.
 
+The dense linear algebra is numpy's alone.  Cholesky factors are kept in
+64-column blocks with inverted diagonal blocks (:class:`_Cholesky`), so a
+factorization and its triangular solves are matrix products, and the
+inverse of an ill-conditioned diagonal block is refined once wherever it is
+applied.  The Cholesky factor of every X and S block is inverted once per
+iteration; the inverses serve the step lengths, ``S^-1`` and the HKM factor.
+
 Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
 ``W2 = X - t2 I``, each with its own dual slack matrix.  They are affine in
 X, so they add no rows: their HKM scalings fold into the X block as
@@ -66,8 +73,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.linalg.lapack import dpstrf
 
 __all__ = [
     "SolverStatus",
@@ -79,6 +84,10 @@ __all__ = [
 
 # fraction of the distance to the cone boundary that a step may cover
 STEP_FRACTION = 0.98
+# column width of the blocks in which _Cholesky factors and solves
+_BLOCK = 64
+# condition estimate above which a _Triangle refines each application once
+_REFINE_COND = 1e3
 
 
 class SolverStatus:
@@ -214,11 +223,35 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
-def _psd_max_step(chol_lower, delta):
-    """Largest t with M + t*delta PSD, for M = L L^T."""
-    w = solve_triangular(chol_lower, delta, lower=True)
-    w = solve_triangular(chol_lower, w.T, lower=True)
-    lam_min = np.linalg.eigvalsh(_sym(w)).min()
+def _tri_inv(lower):
+    """Inverse of a nonsingular lower triangle L, through the upper triangle
+    ``J L J`` (J reverses the order): LU leaves an upper triangle unpivoted,
+    so its inverse is a backward substitution, which for L is a forward
+    substitution, with the small residual ``L X - I`` of a triangular solve,
+    and it stays exactly triangular.  A pivoted LU of L itself fills the
+    upper part with rounding noise.  Above order 32 the halves are inverted
+    apart, ``[[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]``, which
+    at order 64 costs less than one inverse of the whole."""
+    n = len(lower)
+    if n <= 32:
+        return np.linalg.inv(lower[::-1, ::-1])[::-1, ::-1]
+    h = n // 2
+    a, d = _tri_inv(lower[:h, :h]), _tri_inv(lower[h:, h:])
+    out = np.zeros((n, n))
+    out[:h, :h], out[h:, h:] = a, d
+    out[h:, :h] = -(d @ lower[h:, :h]) @ a
+    return out
+
+
+def _chol_inv(a):
+    """The Cholesky factor L of a and its inverse."""
+    lower = np.linalg.cholesky(a)
+    return lower, _tri_inv(lower)
+
+
+def _psd_max_step(chol_inv, delta):
+    """Largest t with M + t*delta PSD, for M = L L^T and ``chol_inv = L^-1``."""
+    lam_min = np.linalg.eigvalsh(_sym(chol_inv @ delta @ chol_inv.T)).min()
     if lam_min >= -1e-16:
         return np.inf
     return -1.0 / lam_min
@@ -368,8 +401,9 @@ class _Layout:
         return out
 
 
-def _hkm_scaling(lay: _Layout, x_psd, s_chols):
-    """The HKM scaling of the X block in svec coordinates.
+def _hkm_scaling(lay: _Layout, x_psd, s_facs):
+    """The HKM scaling of the X block in svec coordinates, given the pair
+    ``(C, C^-1)`` of :func:`_chol_inv` for every dual slack block.
 
     Returns ``((P, s, T), d_invs)``: the factor ``R = (P (x)_s P) diag(s) T``
     of ``D = R R^T``, where ``D^-1`` is the sum of ``D_b^-1`` over the PSD
@@ -391,23 +425,25 @@ def _hkm_scaling(lay: _Layout, x_psd, s_chols):
     a QR factorization of ``[F_X F_W1 F_W2]^T`` with
     ``F_b = (Q (x)_s Q) diag(G)^-1/2``, not of a Cholesky factorization of
     ``D^-1 = sum_b F_b F_b^T``, which would square that spread; for the same
-    reason ``D_b^-1`` is applied in matrix form, never as an explicit matrix.
+    reason ``D_b^-1`` is applied in matrix form, never as an explicit matrix;
+    ``T = R^-1`` for the QR factor R is the backward sweep of
+    :class:`_Cholesky` around ``R^T``.
     """
     r, c = lay.tri_r, lay.tri_c
     facs = []
-    for xb, sc in zip(x_psd, s_chols):
+    for xb, (sc, sc_inv) in zip(x_psd, s_facs):
         g, v = np.linalg.eigh(_sym(sc.T @ xb @ sc))
-        facs.append((sc, v, 0.5 * (g[:, None] + g)))
+        facs.append((sc, sc_inv, v, 0.5 * (g[:, None] + g)))
     if len(facs) == 1:
-        sc, v, g_pair = facs[0]
-        return (solve_triangular(sc, v, lower=True, trans="T"), np.sqrt(g_pair[r, c]), None), []
+        _, sc_inv, v, g_pair = facs[0]
+        return (sc_inv.T @ v, np.sqrt(g_pair[r, c]), None), []
     d_invs, f_blocks = [], []
-    for sc, v, g_pair in facs:
+    for sc, _, v, g_pair in facs:
         q = sc @ v
         d_invs.append(lambda vec, q=q, g_pair=g_pair: lay.svec(q @ ((q.T @ lay.smat(vec) @ q) / g_pair) @ q.T))
         f_blocks.append(lay.skron(q) / np.sqrt(g_pair[r, c]))
     r_q = np.linalg.qr(np.hstack(f_blocks).T, mode="r")
-    t_mat = solve_triangular(r_q, np.eye(len(r_q)), lower=False)
+    t_mat = _Cholesky.of_factor(r_q.T).backward(np.eye(len(r_q)))
     return (np.eye(len(x_psd[0])), np.ones(len(r)), t_mat), d_invs
 
 
@@ -508,6 +544,98 @@ class _SchurRows:
         return gram
 
 
+class _Triangle:
+    """A nonsingular lower-triangular block D with its inverse.
+
+    An explicit inverse applied to r leaves a residual ``D t - r`` of up to
+    about ``cond(D) u |r|``, where a substitution leaves about ``u |D| |t|``.
+    So when the estimate ``||D||_F ||D^-1||_F`` exceeds ``_REFINE_COND``,
+    each application takes one refinement step ``t += D^-1 (r - D t)``,
+    which brings its residual down to the substitution's.
+    """
+
+    def __init__(self, diag):
+        self.diag = diag
+        self.inv = _tri_inv(diag)
+        self.refine = np.linalg.norm(diag) * np.linalg.norm(self.inv) > _REFINE_COND
+
+    def solve(self, r):
+        """``D^-1 r``."""
+        t = self.inv @ r
+        return t + self.inv @ (r - self.diag @ t) if self.refine else t
+
+    def solve_t(self, r):
+        """``D^-T r``."""
+        t = self.inv.T @ r
+        return t + self.inv.T @ (r - self.diag.T @ t) if self.refine else t
+
+
+class _Cholesky:
+    """A lower-triangular factor L (of ``h = L L^T``) kept in column blocks
+    of width ``_BLOCK``, each diagonal block a :class:`_Triangle`.
+
+    The factorization is left-looking: a block column's Schur complement is
+    one matrix product with the columns before it, its diagonal block is
+    factored by ``np.linalg.cholesky``, and the panel below is the rest of
+    the column times that block's inverse transposed.  Both triangular
+    sweeps are then matrix products with the inverted diagonal blocks and
+    the panels, for one right-hand side or many (blocked methods with
+    inverted diagonal blocks: Du Croz & Higham, IMA J. Numer. Anal. 12,
+    1992; Elmroth et al., SIAM Rev. 46, 2004).  A diagonal block that is
+    not positive definite raises ``LinAlgError``.
+    """
+
+    def __init__(self, lower, triangles):
+        self.lower = lower
+        self.blocks = [(j0, j0 + len(tri.diag), tri) for j0, tri in zip(range(0, len(lower), _BLOCK), triangles)]
+
+    @classmethod
+    def factor(cls, h):
+        """The Cholesky factor of the symmetric positive definite h."""
+        n = len(h)
+        lower = np.zeros((n, n))
+        triangles = []
+        for j0 in range(0, n, _BLOCK):
+            j1 = min(j0 + _BLOCK, n)
+            col = h[j0:, j0:j1] - lower[j0:, :j0] @ lower[j0:j1, :j0].T if j0 else h[:, :j1]
+            tri = _Triangle(np.linalg.cholesky(col[: j1 - j0]))
+            lower[j0:j1, j0:j1] = tri.diag
+            if j1 < n:
+                lower[j1:, j0:j1] = tri.solve(col[j1 - j0 :].T).T
+            triangles.append(tri)
+        return cls(lower, triangles)
+
+    @classmethod
+    def of_factor(cls, lower):
+        """A given nonsingular lower-triangular matrix."""
+        n = len(lower)
+        return cls(lower, [_Triangle(lower[j0 : j0 + _BLOCK, j0 : j0 + _BLOCK]) for j0 in range(0, n, _BLOCK)])
+
+    def forward(self, b):
+        """``L^-1 b`` for a vector or a matrix b."""
+        y = np.array(b, dtype=float)
+        n = len(y)
+        for j0, j1, tri in self.blocks:
+            y[j0:j1] = tri.solve(y[j0:j1])
+            if j1 < n:
+                y[j1:] -= self.lower[j1:, j0:j1] @ y[j0:j1]
+        return y
+
+    def backward(self, y):
+        """``L^-T y`` for a vector or a matrix y."""
+        x = np.array(y, dtype=float)
+        n = len(x)
+        for j0, j1, tri in reversed(self.blocks):
+            if j1 < n:
+                x[j0:j1] -= self.lower[j1:, j0:j1].T @ x[j1:]
+            x[j0:j1] = tri.solve_t(x[j0:j1])
+        return x
+
+    def solve(self, b):
+        """``h^-1 b``."""
+        return self.backward(self.forward(b))
+
+
 class _KKTFactor:
     """Factorization of H = diag(n_diag) + U U^T for U given as a
     :class:`_SchurRows` operator.
@@ -516,10 +644,11 @@ class _KKTFactor:
     slack-free rows and the slack rows that are nearly active.  When they and
     U's width together number fewer than the k rows, the damped rows
     (weights B) are eliminated through the Woodbury identity: the core
-    ``I + U^T B^-1 U`` comes from its Khatri-Rao form, and the free rows
-    through their Schur complement, so only the free rows of U are ever
-    materialised.  Otherwise H is formed and factored densely.  Solves are
-    polished by iterative refinement.
+    ``I + U^T B^-1 U = L L^T`` comes from its Khatri-Rao form, and the free
+    rows through their Schur complement ``Y^T Y + N_f`` with
+    ``Y = L^-1 U_f^T``, so only the free rows of U are ever materialised.
+    Otherwise H is formed and factored densely.  Solves are polished by
+    iterative refinement.
     """
 
     def __init__(self, n_diag, op: _SchurRows):
@@ -546,9 +675,8 @@ class _KKTFactor:
         core[np.diag_indices_from(core)] += 1.0
         self.core_fac = self._factor(core)
         if len(self.free):
-            self.uf = op.rows(self.free)
-            self.mf = cho_solve(self.core_fac, self.uf.T, check_finite=False)
-            sf = self.uf @ self.mf
+            self.yf = self.core_fac.forward(op.rows(self.free).T)
+            sf = self.yf.T @ self.yf
             sf[np.diag_indices_from(sf)] += n_diag[self.free]
             self.free_fac = self._factor(sf)
 
@@ -559,15 +687,16 @@ class _KKTFactor:
 
     def _solve_once(self, r):
         if self.dense:
-            return cho_solve(self.fac, r, check_finite=False)
-        # with t = core^-1 U^T B^-1 r and lam_f the free rows' solution, the
-        # damped rows are B^-1 (r - U (t + core^-1 U_f^T lam_f))
+            return self.fac.solve(r)
+        # with z = L^-1 U^T B^-1 r, the free rows' solution is
+        # lam_f = S_f^-1 (r_f - Y^T z) and the damped rows are
+        # B^-1 (r - U L^-T (z + Y lam_f))
         op, binv = self.op, self.binv
-        t = cho_solve(self.core_fac, op.rmatvec(binv * r), check_finite=False)
+        z = self.core_fac.forward(op.rmatvec(binv * r))
         if not len(self.free):
-            return binv * (r - op.matvec(t))
-        lam_f = cho_solve(self.free_fac, r[self.free] - self.uf @ t, check_finite=False)
-        out = binv * (r - op.matvec(t + self.mf @ lam_f))
+            return binv * (r - op.matvec(self.core_fac.backward(z)))
+        lam_f = self.free_fac.solve(r[self.free] - self.yf.T @ z)
+        out = binv * (r - op.matvec(self.core_fac.backward(z + self.yf @ lam_f)))
         out[self.free] = lam_f
         return out
 
@@ -575,8 +704,8 @@ class _KKTFactor:
         return self.n_diag * x + self.op.matvec(self.op.rmatvec(x))
 
     def solve(self, r):
-        # the factors are checked when built, so one scan of r replaces
-        # scipy's check_finite rescans in every cho_solve
+        # the factors are checked when built; a NaN or Inf in r would come
+        # back as the solution, so r is scanned once here
         if not np.isfinite(r).all():
             raise ValueError("KKT right-hand side contains NaN or Inf")
         # iterative refinement keeps the Woodbury path accurate when slack
@@ -607,16 +736,15 @@ class _Newton:
     ``dx = D (svec(A^T dy) + sum_b sign_b D_b^-1 h_b - rd)``.
     """
 
-    def __init__(self, lay: _Layout, x_psd, x_lin, s_lin, s_chols, residuals):
+    def __init__(self, lay: _Layout, x_psd, x_lin, s_lin, s_facs, residuals):
         prob = lay.prob
         self.lay = lay
         self.x_psd, self.x_lin, self.s_lin = x_psd, x_lin, s_lin
         self.rp, self.rd_mat, self.rd_lin = residuals
         scaling, self.d_invs = None, []
         if lay.matrix_mode:
-            scaling, self.d_invs = _hkm_scaling(lay, x_psd, s_chols)
-            t_mats = [solve_triangular(rc, np.eye(len(rc)), lower=True).T for rc in s_chols]
-            self.s_invs = [t @ t.T for t in t_mats]
+            scaling, self.d_invs = _hkm_scaling(lay, x_psd, s_facs)
+            self.s_invs = [sc_inv.T @ sc_inv for _, sc_inv in s_facs]
         d_lin = x_lin / s_lin
         if not np.isfinite(d_lin).all():
             raise np.linalg.LinAlgError("scalar scaling is not finite")
@@ -662,8 +790,8 @@ class _Newton:
 
 
 def _chol_with_ridge(h):
-    """Cholesky factor of h, adding the smallest diagonal ridge that makes it
-    succeed; returns (factor, ridge)."""
+    """:class:`_Cholesky` factor of h, adding the smallest diagonal ridge that
+    makes it succeed; returns (factor, ridge)."""
     if not np.isfinite(h).all():
         raise np.linalg.LinAlgError("KKT system contains non-finite entries")
     scale = max(np.trace(h) / max(len(h), 1), 1e-300)
@@ -671,11 +799,11 @@ def _chol_with_ridge(h):
     for _ in range(12):
         try:
             if ridge == 0.0:
-                return cho_factor(h, lower=True, check_finite=False), ridge
+                return _Cholesky.factor(h), ridge
             shifted = h.copy()
             shifted[np.diag_indices_from(shifted)] += ridge
-            return cho_factor(shifted, lower=True, overwrite_a=True, check_finite=False), ridge
-        except (np.linalg.LinAlgError, ValueError):
+            return _Cholesky.factor(shifted), ridge
+        except np.linalg.LinAlgError:
             ridge = max(ridge * 100.0, 1e-14 * scale)
     raise np.linalg.LinAlgError("KKT system could not be factorized")
 
@@ -731,10 +859,32 @@ def _drop_dependent_free_rows(prob: ConicProblem, feas_tol: float) -> tuple[Coni
 
 
 def _pivoted_chol_dependents(gram):
-    """Indices whose pivot collapses during pivoted Cholesky of a Gram matrix
-    (pivots at most 1e-12 of the largest diagonal entry)."""
-    _, piv, rank, _ = dpstrf(gram, tol=1e-12 * np.max(np.diag(gram)), lower=1)
-    return np.sort(piv[rank:] - 1)
+    """Indices whose pivot collapses during pivoted Cholesky of a Gram matrix.
+
+    The rule of LAPACK's pivoted Cholesky: each step pivots on the largest
+    remaining diagonal entry, the original diagonal entry less the squares
+    of the row's factor entries so far, and the factorization stops when
+    that entry is at most 1e-12 of the largest diagonal entry; the rows not
+    yet pivoted are the dependent ones.  Factor columns are kept by
+    original row, with zeros on the pivoted rows.
+    """
+    n = len(gram)
+    diag = np.diag(gram).copy()
+    tol = 1e-12 * diag.max()
+    lower = np.zeros((n, n))
+    work = np.zeros(n)
+    free = np.ones(n, dtype=bool)
+    for j in range(n):
+        remaining = np.where(free, diag - work, -np.inf)
+        p = int(np.argmax(remaining))
+        if remaining[p] <= tol:
+            return np.flatnonzero(free)
+        free[p] = False
+        col = (gram[p] - lower[:, :j] @ lower[p, :j]) * (1.0 / np.sqrt(remaining[p]))
+        col[~free] = 0.0
+        lower[:, j] = col
+        work += col * col
+    return np.zeros(0, dtype=int)
 
 
 # --------------------------------------------------------------------------
@@ -872,9 +1022,9 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
 
         mu = gap / nu
         try:
-            chols = [np.linalg.cholesky(_sym(xb)) for xb in x_psd]
-            s_chols = [np.linalg.cholesky(_sym(sb)) for sb in s_psd]
-            newton = _Newton(lay, x_psd, x_lin, s_lin, s_chols, residuals)
+            x_invs = [_chol_inv(_sym(xb))[1] for xb in x_psd]
+            s_facs = [_chol_inv(_sym(sb)) for sb in s_psd]
+            newton = _Newton(lay, x_psd, x_lin, s_lin, s_facs, residuals)
         except np.linalg.LinAlgError:
             status = SolverStatus.NUMERICAL_FAILURE
             break
@@ -883,11 +1033,11 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         def boundary_steps(dxp, dxl, dsp, dsl):
             """Primal and dual step lengths that reach the cone boundary."""
             a_p = min(
-                min((_psd_max_step(c, d) for c, d in zip(chols, dxp)), default=np.inf),
+                min((_psd_max_step(c, d) for c, d in zip(x_invs, dxp)), default=np.inf),
                 _lin_max_step(x_lin, dxl),
             )
             a_d = min(
-                min((_psd_max_step(c, d) for c, d in zip(s_chols, dsp)), default=np.inf),
+                min((_psd_max_step(c, d) for (_, c), d in zip(s_facs, dsp)), default=np.inf),
                 _lin_max_step(s_lin, dsl),
             )
             return a_p, a_d

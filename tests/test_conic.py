@@ -34,7 +34,7 @@ def schur_rows_at(prob, iters):
     lay = conic._Layout(prob)
     scaling = None
     if lay.matrix_mode:
-        scaling, _ = conic._hkm_scaling(lay, xs, [np.linalg.cholesky(s) for s in ss])
+        scaling, _ = conic._hkm_scaling(lay, xs, [conic._chol_inv(s) for s in ss])
     return conic._SchurRows(lay, scaling, np.sqrt((x_lin / s_lin)[lay.shared_idx]))
 
 
@@ -260,6 +260,63 @@ class TestPresolve:
         coef = np.linalg.lstsq(basis, rows[dropped].T, rcond=None)[0]
         assert np.abs(basis @ coef - rows[dropped].T).max() <= 1e-10
 
+    @staticmethod
+    def check_against_lapack(gram):
+        """``_pivoted_chol_dependents`` against LAPACK's ``dpstrf`` (the
+        oracle): the same rank and the same dropped rows, each row named by
+        the first row with the same Gram row up to sign and rounding.
+        Copies of one row (up to sign) tie in exact arithmetic, and which
+        copy a pivot takes then depends on rounding and on the order in
+        which ties are broken (``dpstf2`` keeps a permuted order)."""
+        dpstrf = pytest.importorskip("scipy.linalg.lapack").dpstrf
+        _, piv, rank, _ = dpstrf(gram, tol=1e-12 * np.max(np.diag(gram)), lower=1)
+        dropped = conic._pivoted_chol_dependents(gram)
+        assert len(gram) - len(dropped) == rank
+        tol = 1e-12 * np.abs(gram).max()
+        same = np.minimum(
+            np.abs(gram[:, None, :] - gram[None, :, :]).max(axis=2),
+            np.abs(gram[:, None, :] + gram[None, :, :]).max(axis=2),
+        ) <= tol
+        first = same.argmax(axis=1)
+        np.testing.assert_array_equal(np.sort(first[dropped]), np.sort(first[piv[rank:] - 1]))
+
+    @pytest.mark.parametrize("n, dim", [(16, 20), (40, 30), (66, 80), (90, 60)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_lapack_pivoted_cholesky(self, n, dim, seed):
+        # rows of unequal norms with a duplicate, a negated duplicate, a
+        # scaled copy, combinations of two and of three rows and two zero
+        # rows, at random positions; with n > dim the rows are dependent
+        # anyway.  In each planted combination the coefficients differ in
+        # magnitude: in a + b = c, once c is pivoted a and b have remaining
+        # pivots equal in exact arithmetic but not row for row, and two
+        # implementations break such a tie by their rounding
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n, dim)) * rng.uniform(0.5, 2.0, size=(n, 1))
+        i = rng.permutation(n)
+        rows[i[0]] = rows[i[1]]
+        rows[i[2]] = -rows[i[3]]
+        rows[i[4]] = 3.0 * rows[i[5]]
+        rows[i[6]] = 2.0 * rows[i[7]] + 3.0 * rows[i[8]]
+        rows[i[9]] = 2.0 * rows[i[10]] - 3.0 * rows[i[11]] + 5.0 * rows[i[12]]
+        rows[i[13]] = rows[i[14]] = 0.0
+        self.check_against_lapack(rows @ rows.T)
+
+    def test_duplicate_column_gram_matches_lapack(self, monkeypatch):
+        # the free-row Gram that presolve builds for the duplicate-column
+        # frame of TestCoherenceProgram
+        grams = []
+        pivoted = conic._pivoted_chol_dependents
+
+        def capture(gram):
+            grams.append(gram)
+            return pivoted(gram)
+
+        monkeypatch.setattr(conic, "_pivoted_chol_dependents", capture)
+        base = frames.random_gaussian_frame(3, 6, 5).matrix
+        conic.solve(build_c1(frames.Frame(np.hstack([base, base[:, :1]]))), TIGHT)
+        assert len(grams) == 1
+        self.check_against_lapack(grams[0])
+
     def test_contradictory_dependent_rows_raise(self):
         # x1 + x2 = 1 and 2 x1 + 2 x2 = 2 are one row; x1 + x2 = 2 contradicts it
         rhs = np.array([1.0, 2.0])
@@ -282,6 +339,86 @@ class TestPresolve:
         prob.eig_bounds = (2.0, 2.0)
         with pytest.raises(ValueError, match=r"rows \[0, 1, 2, 3, 4, 5\]"):
             conic.solve(prob, TIGHT)
+
+
+def spd_matrix(n, cond, seed):
+    """A symmetric positive definite matrix of order n with eigenvalues
+    spread log-evenly over [1 / cond, 1], in a random basis."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    h = (q * np.logspace(0.0, -np.log10(cond), n)) @ q.T
+    return 0.5 * (h + h.T)
+
+
+def relative_residual(h, x, b):
+    """``max_j ||h x_j - b_j|| / (||h|| ||x_j||)`` over the right-hand sides."""
+    x, b = x.reshape(len(h), -1), b.reshape(len(h), -1)
+    return float((np.linalg.norm(h @ x - b, axis=0) / (np.linalg.norm(h, 2) * np.linalg.norm(x, axis=0))).max())
+
+
+class TestCholesky:
+    """``_Cholesky`` (blocked factor, inverted diagonal blocks, sweeps by
+    matrix products) against LAPACK's ``potrf``/``potrs``, the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130, 466])
+    @pytest.mark.parametrize("cond", [1e2, 1e12])
+    @pytest.mark.parametrize("n_rhs", [None, 7])
+    def test_residual_within_4x_of_lapack(self, n, cond, n_rhs):
+        sla = pytest.importorskip("scipy.linalg")
+        h = spd_matrix(n, cond, n)
+        b = np.random.default_rng(n + 1).standard_normal(n if n_rhs is None else (n, n_rhs))
+        got = conic._Cholesky.factor(h).solve(b)
+        ref = sla.cho_solve(sla.cho_factor(h, lower=True), b)
+        assert got.shape == b.shape
+        # machine epsilon floors the bound where LAPACK's residual is exactly 0
+        assert relative_residual(h, got, b) <= 4.0 * max(relative_residual(h, ref, b), np.finfo(float).eps)
+
+    def test_factor_and_sweeps(self):
+        h = spd_matrix(130, 1e4, 7)
+        fac = conic._Cholesky.factor(h)
+        lower = fac.lower
+        assert np.array_equal(lower, np.tril(lower))
+        assert np.abs(lower @ lower.T - h).max() <= 1e-13
+        b = np.random.default_rng(8).standard_normal((130, 3))
+        assert np.abs(lower @ fac.forward(b) - b).max() <= 1e-12
+        assert np.abs(lower.T @ fac.backward(b) - b).max() <= 1e-11
+
+    @pytest.mark.parametrize("cond", [1e2, 1e12])
+    def test_triangle_solves_match_substitution(self, cond):
+        # a diagonal block's inverse applied to r, refined once when the
+        # block is ill-conditioned, against LAPACK's triangular solves; with
+        # solutions along the top right singular vectors the unrefined
+        # inverse leaves residuals 5-12 times LAPACK's at cond 1e12
+        sla = pytest.importorskip("scipy.linalg")
+        lower = np.linalg.cholesky(spd_matrix(48, cond, 3))
+        tri = conic._Triangle(lower)
+        assert tri.refine == (cond > 1e6)
+        for mat, solve in ((lower, tri.solve), (lower.T, tri.solve_t)):
+            r = mat @ np.linalg.svd(mat)[2][:3].T
+
+            def residual(t):
+                return float((np.linalg.norm(mat @ t - r, axis=0) / (np.linalg.norm(mat, 2) * np.linalg.norm(t, axis=0))).max())
+
+            ref = sla.solve_triangular(mat, r, lower=mat is lower)
+            assert residual(solve(r)) <= 4.0 * max(residual(ref), np.finfo(float).eps)
+
+    def test_inverse_of_a_given_triangle(self):
+        # the bounded HKM scaling's T = R^-1 for a QR factor R, whose
+        # diagonal carries both signs
+        r = np.linalg.qr(np.random.default_rng(9).standard_normal((200, 130)), mode="r")
+        assert (np.diag(r) < 0).any() and (np.diag(r) > 0).any()
+        t = conic._Cholesky.of_factor(r.T).backward(np.eye(130))
+        assert np.abs(r @ t - np.eye(130)).max() <= 1e-12
+
+    @pytest.mark.parametrize("bad", [0, 63, 64, 129])
+    def test_indefinite_block_raises_and_takes_a_ridge(self, bad):
+        h = spd_matrix(130, 1e2, 10)
+        h[bad, bad] -= 1.5
+        with pytest.raises(np.linalg.LinAlgError):
+            conic._Cholesky.factor(h)
+        fac, ridge = conic._chol_with_ridge(h)
+        assert ridge > 0.0
+        b = np.ones(130)
+        assert np.abs((h + ridge * np.eye(130)) @ fac.solve(b) - b).max() <= 1e-8
 
 
 class TestKKTModes:
@@ -470,7 +607,7 @@ class TestSvecDirection:
         )
         lay = conic._Layout(prob)
         newton = conic._Newton(
-            lay, xs, x_lin, s_lin, [np.linalg.cholesky(s) for s in ss],
+            lay, xs, x_lin, s_lin, [conic._chol_inv(s) for s in ss],
             (rp, (q @ rd_x).reshape(12, 12), rd_lin),
         )
         dx_psd, _, dy, ds_psd, _ = newton.direction(rc_psd, rc_lin)
