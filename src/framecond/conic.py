@@ -13,11 +13,12 @@ atom vectors and each slack variable appears, with coefficient +1, in
 exactly one row.  Linear programs are the special case ``psd_dim == 0``.
 
 The solver follows the central path with the HKM direction and a Mehrotra
-predictor-corrector step, fraction-to-boundary 0.98.  Iterates stay strictly
-inside the cones throughout.  The complementarity gap never rises: when the
-asymmetric corrector step (separate primal and dual lengths) would raise it,
-the common step ``min(primal, dual)`` is taken, shortened by 0.8 until it
-does not.
+predictor-corrector step.  Each side steps SDPT3's fraction (Toh, Todd &
+Tutuncu 1999) ``0.9 + 0.09 min(1, a_p, a_d)`` of the way to its cone
+boundary, capped at 1 (a_p, a_d: the predictor's steps), so iterates stay
+strictly interior.  The loop stops at ``Optimal``, at ``max_iter``, at a
+step below 1e-10, or once its merit (the largest of relative gap, objective
+difference and scaled residuals) has not improved for ``STALL_ITERS`` steps.
 
 The Schur complement over the row multipliers is ``N + U U^T`` with N
 diagonal (slack columns).  The X block enters U in
@@ -82,8 +83,8 @@ __all__ = [
     "solve",
 ]
 
-# fraction of the distance to the cone boundary that a step may cover
-STEP_FRACTION = 0.98
+# iterations without a new best merit after which a solve stops
+STALL_ITERS = 3
 # column width of the blocks in which _Cholesky factors and solves
 _BLOCK = 64
 # condition estimate above which a _Triangle refines each application once
@@ -900,9 +901,10 @@ def solve(problem: ConicProblem, settings: SolverSettings = SolverSettings()) ->
     complementarity gap and the primal/dual objective difference are both at
     most ``gap_tol * (1 + |objective|)`` and the feasibility residuals at
     most ``feas_tol`` (relative).  The loop also polishes ``|X_b S_b|_F`` to
-    ``5 * gap_tol``; a solve that stops first returns its best-merit iterate,
-    labelled ``Optimal`` if it passed the tests above, else with the status
-    that stopped the loop.
+    ``5 * gap_tol``.  A solve that stops first (``max_iter``, a step below
+    1e-10, a merit flat for ``STALL_ITERS`` iterations) returns its best-merit
+    iterate, labelled ``Optimal`` if it passed the tests above, else with the
+    status that stopped the loop (``MaxIter`` for these three).
 
     Eigenvalue bounds with ``t1 - t2 <= 1e-12 * max(1, |t1|)`` pin
     ``X = t1 I``; the remaining linear program is solved instead.  Raises
@@ -991,7 +993,7 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
     status = SolverStatus.MAX_ITER
     iters = 0
     ridges = 0
-    best, best_merit = None, np.inf  # the best-merit iterate, with its basic-test flag
+    best, best_merit, stalled = None, np.inf, 0  # the best-merit iterate, with its basic-test flag
 
     def snapshot():
         x_copy = None if x_mat is None else x_mat.copy()
@@ -1011,13 +1013,14 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         ) / (1.0 + abs(pobj))
         basic_ok = max(rel_gap, obj_gap) <= settings.gap_tol and max(p_inf, d_inf) <= settings.feas_tol
         if merit < best_merit:
-            best_merit = merit
-            best = snapshot(), basic_ok
+            best_merit, best, stalled = merit, (snapshot(), basic_ok), 0
+        else:
+            stalled += 1
         if basic_ok and (psd_prod <= 5.0 * settings.gap_tol or rel_gap <= 1e-3 * settings.gap_tol):
             status = SolverStatus.OPTIMAL
             break
-        if iters == settings.max_iter or merit > 1e3 * (best_merit + 1e-12):
-            # stagnated or drifting away from the best point reached
+        if iters == settings.max_iter or stalled == STALL_ITERS:
+            # a flat merit has reached the accuracy floor of the directions
             break
 
         mu = gap / nu
@@ -1064,17 +1067,13 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         rc_lin = sigma * mu - x_lin * s_lin - dxl_a * dsl_a
         dx_psd, dx_lin, dy, ds_psd, ds_lin = newton.direction(rc_psd, rc_lin)
 
-        # keep the complementarity gap monotone: the asymmetric corrector
-        # step, else the common step shortened by 0.8 up to 30 times
+        # SDPT3's step length, per side: the fraction of the way to the
+        # boundary nears 1 as the predictor's steps do
+        gamma = 0.9 + 0.09 * min(bp_a, bd_a, 1.0)
         bp, bd = boundary_steps(dx_psd, dx_lin, ds_psd, ds_lin)
-        ap, ad = min(STEP_FRACTION * bp, 1.0), min(STEP_FRACTION * bd, 1.0)
-        steps = [(ap, ad)] + [(min(ap, ad) * 0.8**k,) * 2 for k in range(31)]
-        gap_cap = gap * (1.0 + 1e-12) + 1e-13
-        chosen = next((s for s in steps if gap_after(dx_psd, dx_lin, ds_psd, ds_lin, *s) <= gap_cap), None)
-        if chosen is None or min(chosen) < 1e-10:
-            status = SolverStatus.NUMERICAL_FAILURE if chosen is None else SolverStatus.MAX_ITER
+        ap, ad = min(gamma * bp, 1.0), min(gamma * bd, 1.0)
+        if min(ap, ad) < 1e-10:
             break
-        ap, ad = chosen
         if lay.matrix_mode:
             x_mat = _sym(x_mat + ap * dx_psd[0])
             x_psd = lay.blocks(x_mat)

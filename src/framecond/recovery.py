@@ -48,8 +48,8 @@ OMP_SPAN_TOL = 1e-12
 # entry: basis pursuit is primal degenerate below full sparsity, so some
 # normal matrices turn numerically singular near the optimum
 RIDGE = 1e-13
-# steps without a new best merit after which a batch member is given up
-STALL_ITERS = 3
+# fraction of the distance to the orthant boundary that a step may cover
+STEP_FRACTION = 0.98
 
 
 class Infeasible(ValueError):
@@ -195,6 +195,17 @@ def _batch_matvec(mats, vecs):
     return np.einsum("kij,kj->ki", mats, vecs)
 
 
+def _lower_inverse(lower):
+    """Inverses of a stack of lower-triangular matrices, one forward
+    substitution row at a time over the whole stack."""
+    inv = np.zeros_like(lower)
+    for i in range(lower.shape[-1]):
+        row = -(lower[:, i : i + 1, :i] @ inv[:, :i, :])[:, 0]
+        row[:, i] += 1.0
+        inv[:, i] = row / lower[:, i, i, None]
+    return inv
+
+
 def _kernel_lp(a, c, b, settings: conic.SolverSettings):
     """Mehrotra predictor-corrector over the batch of standard-form LPs
     ``min c^T x  s.t.  a x = b_i, x >= 0``; ``a`` (full row rank) and ``c``
@@ -204,12 +215,16 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
     relative gap and objective difference within ``gap_tol``, scaled primal
     and dual residuals within ``feas_tol``.  Returns ``(x, iterations,
     converged)``.  ``converged`` is False for a member still open after
-    ``max_iter`` steps, one whose merit stalled for ``STALL_ITERS`` steps or
-    whose step collapsed, and one whose normal matrix was not positive
-    definite or whose iterate left the finite range; its x is NaN.
+    ``max_iter`` steps, one whose merit stalled for ``conic.STALL_ITERS``
+    steps (the stop of :func:`conic.solve`) or whose step collapsed, and one
+    whose normal matrix was not positive definite or whose iterate left the
+    finite range; its x is NaN.
     """
     bsz, (m, n) = len(b), a.shape
     diag = np.arange(m)
+    # Khatri-Rao square of a: row j is vec(a_j a_j^T), so the normal
+    # matrices a diag(d) a^T of the whole batch are one product d @ kr
+    kr = (a[:, None, :] * a[None, :, :]).reshape(m * m, n).T
     x_out = np.full((bsz, n), np.nan)
     iters_out = np.zeros(bsz, dtype=int)
     converged = np.zeros(bsz, dtype=bool)
@@ -235,7 +250,7 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
         """Per member, the step to the orthant boundary, capped where the
         fraction-to-boundary rule no longer binds."""
         ratio = np.where(dv < 0, -v / np.where(dv < 0, dv, -1.0), np.inf)
-        return np.minimum(ratio.min(axis=1), 1.0 / conic.STEP_FRACTION)
+        return np.minimum(ratio.min(axis=1), 1.0 / STEP_FRACTION)
 
     for it in range(settings.max_iter + 1):
         bb = b[active]
@@ -258,13 +273,13 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
         improved = merit < best[active]
         best[active] = np.where(improved, merit, best[active])
         stalled[active] = np.where(improved, 0, stalled[active] + 1)
-        keep = ~done & (stalled[active] < STALL_ITERS) & np.isfinite(merit) & (gap > 0)
+        keep = ~done & (stalled[active] < conic.STALL_ITERS) & np.isfinite(merit) & (gap > 0)
         if it == settings.max_iter or not keep.any():
             break
         active, x, y, s, rp, rd, gap = (v[keep] for v in (active, x, y, s, rp, rd, gap))
 
         d = x / s
-        normal = (a * d[:, None, :]) @ a.T
+        normal = (d @ kr).reshape(-1, m, m)
         ridged = normal.copy()
         ridged[:, diag, diag] += RIDGE * normal[:, diag, diag].max(axis=1, keepdims=True)
         try:
@@ -281,7 +296,7 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
         # a Cholesky solve and serves both right-hand sides.  One refinement
         # step against the unridged N removes the ridge's bias, which would
         # otherwise floor the primal residual above a 1e-9 tolerance.
-        l_inv = np.linalg.inv(chol)
+        l_inv = _lower_inverse(chol)
 
         def solve(r):
             z = _batch_matvec(l_inv.transpose(0, 2, 1), _batch_matvec(l_inv, r))
@@ -301,8 +316,8 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
         mu_aff = np.einsum("ij,ij->i", x + ap * dx_a, s + ad * ds_a) / n
         sigma = np.clip(mu_aff / mu, 0.0, 1.0) ** 3
         dx, dy, ds = newton((sigma * mu)[:, None] - x * s - dx_a * ds_a)
-        ap = np.minimum(conic.STEP_FRACTION * max_step(x, dx), 1.0)
-        ad = np.minimum(conic.STEP_FRACTION * max_step(s, ds), 1.0)
+        ap = np.minimum(STEP_FRACTION * max_step(x, dx), 1.0)
+        ad = np.minimum(STEP_FRACTION * max_step(s, ds), 1.0)
         x = x + ap[:, None] * dx
         y = y + ad[:, None] * dy
         s = s + ad[:, None] * ds

@@ -368,6 +368,27 @@ class TestBatchedBasisPursuit:
         assert checked >= 0.95 * 2 * 5 * (4 + 8 + 12)
 
 
+class TestLowerInverse:
+    @pytest.mark.parametrize("cond", [1e1, 1e6, 1e12])
+    def test_small_residual_and_matches_lapack(self, cond):
+        # a stack of Cholesky factors of normal matrices; each column of the
+        # inverse is a forward substitution, so L X - I is small relative to
+        # |L| |X|, and X agrees with LAPACK's inverse to within cond(L) eps
+        rng = np.random.default_rng(5)
+        m = 15
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        spectra = np.geomspace(1.0, 1.0 / cond, m) * rng.uniform(0.5, 2.0, (40, 1))
+        lower = np.linalg.cholesky((q * spectra[:, None, :]) @ q.T)
+        inv = recovery._lower_inverse(lower)
+        assert (np.triu(inv, 1) == 0.0).all()
+        eps = np.finfo(float).eps
+        bound = np.abs(lower) @ np.abs(inv)
+        assert (np.abs(lower @ inv - np.eye(m)) <= 10 * m * eps * bound).all()
+        ref = np.linalg.inv(lower)
+        err = np.abs(inv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        assert (err <= 10 * m * eps * np.sqrt(cond)).all()
+
+
 class TestAgreement:
     def test_omp_and_bp_agree_below_bound(self):
         fr = frames.dirac_hadamard_frame(32)
