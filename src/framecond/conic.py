@@ -1137,9 +1137,11 @@ def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
 
 def _solve_pinned(problem: ConicProblem, settings: SolverSettings, t_pin: float) -> ConicSolution:
     """Bounds with t1 == t2 leave X = t_pin * I as the only matrix choice;
-    substitute it and solve the remaining LP over (q, slacks, extras).  Rows
-    left with no variable become zero rows, which the LP's presolve drops,
-    raising ``ValueError`` if X = t_pin * I violates one."""
+    substitute it and solve the remaining LP over (q, slacks, extras), from
+    the problem's ``dual_start`` (the LP's start rule applies: its dual
+    slacks must be interior).  Rows left with no variable become zero rows,
+    which the LP's presolve drops, with their multipliers, raising
+    ``ValueError`` if X = t_pin * I violates one."""
     lay = _Layout(problem)
     m = problem.psd_dim
     sub = ConicProblem(
@@ -1148,6 +1150,7 @@ def _solve_pinned(problem: ConicProblem, settings: SolverSettings, t_pin: float)
         row_q=problem.row_q,
         slack_rows=problem.slack_rows,
         extras=problem.extras,
+        dual_start=problem.dual_start,
     )
     sol = solve(sub, settings)
     sol.X = t_pin * np.eye(m)

@@ -39,6 +39,7 @@ __all__ = [
     "KKTResiduals",
     "build_c1",
     "build_c2",
+    "build_diagonal_lp",
     "solve_coherence",
     "diagonal_lp",
     "squared_span_dimension",
@@ -154,10 +155,11 @@ def build_c1(frame: Frame) -> conic.ConicProblem:
     diag = np.arange(big_m)
     pair_ones = np.ones(n_pairs)
 
-    # an exactly dual-feasible interior start: unit multipliers on the
-    # unit-norm rows and 1/M^2 on every pair row give the X-block dual slack
-    # Phi Phi^T
-    dual = np.concatenate([-np.ones(big_m), -np.full(2 * n_pairs, 1.0 / big_m**2)])
+    # an exactly dual-feasible interior start, balanced against the primal
+    # start: the multiplier 1/M^2 on every row (the "+q" and "-q" rows of a
+    # pair cancel in S_X) gives S_X = Phi Phi^T / M^2, pair-slack duals 1/M^2
+    # and s_q = 1/M, so no product of the first iterate dwarfs the others
+    dual = -np.full(big_m + 2 * n_pairs, 1.0 / big_m**2)
     return conic.ConicProblem(
         psd_dim=m,
         rhs=np.concatenate([np.ones(big_m), np.zeros(2 * n_pairs)]),
@@ -186,6 +188,9 @@ def build_c2(frame: Frame, t1: float, t2: float) -> conic.ConicProblem:
             f"unit-norm rows force min eig(X) <= 1 <= max eig(X); bounds ({t1}, {t2}) are infeasible"
         )
     prob = build_c1(frame)
+    # unit multipliers on the unit-norm rows (S_X = Phi Phi^T): C1's balanced
+    # start leaves more 1e-8 bounded solves short of Optimal
+    prob.dual_start[: frame.n_vectors] = -1.0
     if t2 == 1.0 or t1 == 1.0:
         bounds = (1.0, 1.0)
     else:
@@ -234,28 +239,37 @@ def solve_coherence(
     return _finish(frame, sol, sol.X)
 
 
-def diagonal_lp(
-    frame: Frame,
-    settings: conic.SolverSettings = conic.SolverSettings(),
-) -> PreconditionResult:
-    """Coherence minimization over diagonal X only (a linear program).
+def build_diagonal_lp(frame: Frame) -> conic.ConicProblem:
+    """Coherence program over diagonal X only: a linear program.
 
     X = diag(x) contributes ``alpha_k sum_l x_l a_il a_jl`` to row k of
     ``build_c1``, whose atom pair is (i, j), so x enters as m nonnegative
     scalar columns ``alpha_k a_i o a_j`` beside q and the slacks.  The
-    interior-point iterates keep every x_i strictly positive, so the optimal
-    scaling is always invertible up to boundary jitter.
+    program starts from ``build_c1``'s multipliers, under which the dual
+    slack of x_l is ||row_l(Phi)||^2 / M^2 > 0.
     """
-    frame = _require_unit_norm(frame)
     c1 = build_c1(frame)
-    prob = conic.ConicProblem(
+    return conic.ConicProblem(
         psd_dim=0,
         rhs=c1.rhs,
         row_q=c1.row_q,
         slack_rows=c1.slack_rows,
         extras=c1.row_alpha[:, None] * c1.atoms[c1.row_atoms[:, 0]] * c1.atoms[c1.row_atoms[:, 1]],
+        dual_start=c1.dual_start,
     )
-    sol = conic.solve(prob, settings)
+
+
+def diagonal_lp(
+    frame: Frame,
+    settings: conic.SolverSettings = conic.SolverSettings(),
+) -> PreconditionResult:
+    """Coherence minimization over diagonal X only: ``build_diagonal_lp``
+    solved from its balanced dual start.  The interior-point iterates keep
+    every x_i strictly positive, so the optimal scaling is always invertible
+    up to boundary jitter.
+    """
+    frame = _require_unit_norm(frame)
+    sol = conic.solve(build_diagonal_lp(frame), settings)
     return _finish(frame, sol, np.diag(sol.extras))
 
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from framecond import conic, experiments, frames
-from framecond.precondition import build_c1, build_c2, diagonal_lp, kkt_residuals, solve_coherence
+from framecond.precondition import (
+    build_c1, build_c2, build_diagonal_lp, diagonal_lp, kkt_residuals, solve_coherence,
+)
 
 TIGHT = conic.SolverSettings(gap_tol=1e-8, feas_tol=1e-8)
 
 
-def seeded_frame(m, n_vectors=64):
-    seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, m, 0, 0).integers(2**63))
+def seeded_frame(m, n_vectors=64, trial=0):
+    seed = int(experiments.trial_rng(0, experiments.FRAME_STREAM, m, 0, trial).integers(2**63))
     return frames.random_gaussian_frame(m, n_vectors, seed)
 
 
@@ -823,6 +825,54 @@ class TestDualStart:
         prob = build_c1(frames.random_gaussian_frame(4, 9, 13))
         with pytest.raises(ValueError, match="dual_start"):
             replace(prob, dual_start=np.zeros(prob.n_rows - 1))
+
+
+class TestBalancedStart:
+    FRAMES = [lambda: frames.random_gaussian_frame(4, 9, 13), lambda: seeded_frame(12)]
+
+    @pytest.mark.parametrize("make_frame", FRAMES, ids=["4x9", "12x64"])
+    @pytest.mark.parametrize("kind", ["c1", "diagonal-lp"])
+    def test_start_is_dual_feasible_and_interior(self, make_frame, kind):
+        fr = make_frame()
+        big_m = fr.n_vectors
+        prob = build_c1(fr) if kind == "c1" else build_diagonal_lp(fr)
+        np.testing.assert_array_equal(prob.dual_start, np.full(big_m**2, -1.0 / big_m**2))
+        lay = conic._Layout(prob)
+        x_mat, x_lin, y, s_psd, s_lin = conic._start_state(lay)
+        np.testing.assert_array_equal(y, prob.dual_start)   # taken, not the y = 0 fallback
+        (_, rd_mat, rd_lin), *_ = conic._measure(lay, x_mat, x_lin, y, s_psd, s_lin)
+        assert np.abs(rd_lin).max() <= 1e-14
+        assert (s_lin > 0).all()
+        assert s_lin[0] == pytest.approx(1.0 / big_m)
+        if kind == "c1":
+            assert np.abs(rd_mat).max() <= 1e-14
+            assert np.linalg.eigvalsh(s_psd[0]).min() > 0
+            np.testing.assert_allclose(s_psd[0], fr.matrix @ fr.matrix.T / big_m**2, atol=1e-15)
+        else:
+            # the extras' dual slacks are ||row_l(Phi)||^2 / M^2
+            np.testing.assert_allclose(s_lin[lay.ex_off :], (fr.matrix**2).sum(axis=1) / big_m**2, rtol=1e-12)
+
+    def test_c2_keeps_unit_multipliers_on_unit_norm_rows(self):
+        fr = frames.random_gaussian_frame(4, 9, 13)
+        dual = build_c2(fr, 2.0, 0.5).dual_start
+        np.testing.assert_array_equal(dual[:9], -1.0)
+        np.testing.assert_array_equal(dual[9:], -1.0 / 81)
+
+    def test_fewer_iterations_than_unit_multipliers(self):
+        # C1 at gap_tol 1e-6 on the benchmark's first two 12 x 64 and
+        # 18 x 64 frames: the start with -1 on the unit-norm rows, whose
+        # X-block products dwarf the pair rows', takes about 30% more
+        # iterations (72 against 55)
+        settings = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
+        shipped = old = 0
+        for m in (12, 18):
+            for trial in (0, 1):
+                prob = build_c1(seeded_frame(m, trial=trial))
+                unit = prob.dual_start.copy()
+                unit[:64] = -1.0
+                shipped += conic.solve(prob, settings).iterations
+                old += conic.solve(replace(prob, dual_start=unit), settings).iterations
+        assert shipped <= 0.85 * old, (shipped, old)
 
 
 class TestStatusHandling:
