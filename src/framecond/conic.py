@@ -47,8 +47,9 @@ The dense linear algebra is numpy's alone.  Cholesky factors are kept in
 64-column blocks with inverted diagonal blocks (:class:`_Cholesky`), so a
 factorization and its triangular solves are matrix products, and the
 inverse of an ill-conditioned diagonal block is refined once wherever it is
-applied.  The Cholesky factor of every X and S block is inverted once per
-iteration; the inverses serve the step lengths, ``S^-1`` and the HKM factor.
+applied.  The PSD blocks, their dual slacks and directions are each one
+``(b, m, m)`` stack; the Cholesky factors of the X and S stacks are inverted
+once per iteration and serve the step lengths, ``S^-1`` and the HKM factor.
 
 Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
 ``W2 = X - t2 I``, each with its own dual slack matrix.  They are affine in
@@ -221,38 +222,40 @@ class ConicSolution:
 
 
 def _sym(a):
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + a.mT)
 
 
 def _tri_inv(lower):
-    """Inverse of a nonsingular lower triangle L, through the upper triangle
-    ``J L J`` (J reverses the order): LU leaves an upper triangle unpivoted,
-    so its inverse is a backward substitution, which for L is a forward
-    substitution, with the small residual ``L X - I`` of a triangular solve,
-    and it stays exactly triangular.  A pivoted LU of L itself fills the
-    upper part with rounding noise.  Above order 32 the halves are inverted
-    apart, ``[[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]``, which
-    at order 64 costs less than one inverse of the whole."""
-    n = len(lower)
+    """Inverse of a nonsingular lower triangle L, or of each in a stack,
+    through the upper triangle ``J L J`` (J reverses the order): LU leaves an
+    upper triangle unpivoted, so its inverse is a backward substitution,
+    which for L is a forward substitution, with the small residual
+    ``L X - I`` of a triangular solve, and it stays exactly triangular.  A
+    pivoted LU of L itself fills the upper part with rounding noise.  Above
+    order 32 the halves are inverted apart,
+    ``[[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]]``, which at
+    order 64 costs less than one inverse of the whole."""
+    n = lower.shape[-1]
     if n <= 32:
-        return np.linalg.inv(lower[::-1, ::-1])[::-1, ::-1]
+        return np.linalg.inv(lower[..., ::-1, ::-1])[..., ::-1, ::-1]
     h = n // 2
-    a, d = _tri_inv(lower[:h, :h]), _tri_inv(lower[h:, h:])
-    out = np.zeros((n, n))
-    out[:h, :h], out[h:, h:] = a, d
-    out[h:, :h] = -(d @ lower[h:, :h]) @ a
+    a, d = _tri_inv(lower[..., :h, :h]), _tri_inv(lower[..., h:, h:])
+    out = np.zeros(lower.shape)
+    out[..., :h, :h], out[..., h:, h:] = a, d
+    out[..., h:, :h] = -(d @ lower[..., h:, :h]) @ a
     return out
 
 
 def _chol_inv(a):
-    """The Cholesky factor L of a and its inverse."""
+    """The Cholesky factor L of a (or of each matrix of a stack) and its inverse."""
     lower = np.linalg.cholesky(a)
     return lower, _tri_inv(lower)
 
 
 def _psd_max_step(chol_inv, delta):
-    """Largest t with M + t*delta PSD, for M = L L^T and ``chol_inv = L^-1``."""
-    lam_min = np.linalg.eigvalsh(_sym(chol_inv @ delta @ chol_inv.T)).min()
+    """Largest t with M + t*delta PSD, for M = L L^T and ``chol_inv = L^-1``;
+    over a stack, the largest t that keeps every block PSD."""
+    lam_min = np.linalg.eigvalsh(_sym(chol_inv @ delta @ chol_inv.mT)).min()
     if lam_min >= -1e-16:
         return np.inf
     return -1.0 / lam_min
@@ -286,7 +289,7 @@ class _Layout:
         self.k = prob.n_rows
         self.bounds = prob.eig_bounds if self.matrix_mode else None
         # the sign of X in each PSD block: X, then W1 = t1 I - X, W2 = X - t2 I
-        self.signs = () if not self.matrix_mode else (1.0,) if self.bounds is None else (1.0, -1.0, 1.0)
+        self.signs = np.array([] if not self.matrix_mode else [1.0] if self.bounds is None else [1.0, -1.0, 1.0])
 
         if self.matrix_mode:
             self.atoms = prob.atoms
@@ -296,9 +299,10 @@ class _Layout:
             r, c = self.tri_r, self.tri_c = np.triu_indices(m)
             nt = len(r)
             self.tri_scale = np.where(r == c, 1.0, np.sqrt(2.0))
-            # the two gathers that turn K^T W K, for a Khatri-Rao square K,
-            # into the svec Gram (weighted_gram)
-            pos = np.zeros((m, m), dtype=int)
+            # the svec position of every matrix entry (smat), and the two
+            # gathers that turn K^T W K, for a Khatri-Rao square K, into the
+            # svec Gram (weighted_gram)
+            pos = self.tri_pos = np.zeros((m, m), dtype=int)
             pos[r, c] = pos[c, r] = np.arange(nt)
             self.gathers = (
                 pos[r[:, None], r] * nt + pos[c[:, None], c],
@@ -316,22 +320,22 @@ class _Layout:
         self.c_lin[0] = 1.0
 
     def blocks(self, x_mat):
-        """The PSD blocks of the primal point whose matrix part is x_mat."""
+        """The PSD blocks of the primal point whose matrix part is x_mat, as
+        one ``(b, m, m)`` stack: none for a linear program (b = 0), X alone
+        (b = 1), or X, ``W1 = t1 I - X`` and ``W2 = X - t2 I`` under
+        eigenvalue bounds (b = 3)."""
         if self.bounds is None:
-            return [x_mat] if self.matrix_mode else []
+            return x_mat[None] if self.matrix_mode else np.empty((0, 0, 0))
         t1, t2 = self.bounds
         eye = np.eye(len(x_mat))
-        return [x_mat, t1 * eye - x_mat, x_mat - t2 * eye]
+        return np.stack([x_mat, t1 * eye - x_mat, x_mat - t2 * eye])
 
-    # ---- svec coordinates ---------------------------------------------------
+    # ---- svec coordinates (over any leading stack axes) --------------------
     def svec(self, mat):
-        return mat[self.tri_r, self.tri_c] * self.tri_scale
+        return mat[..., self.tri_r, self.tri_c] * self.tri_scale
 
     def smat(self, vec):
-        m = self.prob.psd_dim
-        out = np.empty((m, m))
-        out[self.tri_r, self.tri_c] = out[self.tri_c, self.tri_r] = vec / self.tri_scale
-        return out
+        return (vec / self.tri_scale)[..., self.tri_pos]
 
     def svec_rows(self, rows, atoms):
         """svec(A_k) for the given rows, one per line, with ``atoms`` in place
@@ -342,9 +346,9 @@ class _Layout:
 
     def skron(self, p):
         """``p (x)_s p`` in svec coordinates: svec(M) -> svec(p M p^T)."""
-        pr, pc = p[self.tri_r], p[self.tri_c]
         r, c = self.tri_r, self.tri_c
-        return 0.5 * np.outer(self.tri_scale, self.tri_scale) * (pr[:, r] * pc[:, c] + pr[:, c] * pc[:, r])
+        pr, pc = p[..., r, :], p[..., c, :]
+        return 0.5 * np.outer(self.tri_scale, self.tri_scale) * (pr[..., r] * pc[..., c] + pr[..., c] * pc[..., r])
 
     # ---- constraint operator ------------------------------------------------
     def apply_psd(self, x_mat):
@@ -402,14 +406,16 @@ class _Layout:
         return out
 
 
-def _hkm_scaling(lay: _Layout, x_psd, s_facs):
-    """The HKM scaling of the X block in svec coordinates, given the pair
-    ``(C, C^-1)`` of :func:`_chol_inv` for every dual slack block.
+def _hkm_scaling(lay: _Layout, x_psd, s_fac):
+    """The HKM scaling of the X block in svec coordinates, given the stack of
+    PSD blocks and the pair ``(C, C^-1)`` of :func:`_chol_inv` over the stack
+    of their dual slacks.
 
-    Returns ``((P, s, T), d_invs)``: the factor ``R = (P (x)_s P) diag(s) T``
-    of ``D = R R^T``, where ``D^-1`` is the sum of ``D_b^-1`` over the PSD
-    blocks and ``D_b = X_b (x)_s S_b^-1``, and, when there is more than one
-    block, one function per block applying ``D_b^-1`` to an svec vector.
+    Returns ``((P, s, T), d_inv)``: the factor ``R = (P (x)_s P) diag(s) T``
+    of ``D = R R^T``, where ``D^-1`` is the sum of ``D_b^-1`` over the b PSD
+    blocks and ``D_b = X_b (x)_s S_b^-1``, and, when b = 3, the function
+    ``d_inv(vecs, blocks=slice(None))`` that applies ``D_b^-1`` to the svec
+    vectors ``vecs``, one per block of the slice ``blocks``.
     With ``S_b = C C^T``, ``C^T X_b C = V diag(g) V^T``, ``P = C^-T V``,
     ``Q = C V`` and ``G_ij = (g_i + g_j) / 2``:
 
@@ -431,21 +437,21 @@ def _hkm_scaling(lay: _Layout, x_psd, s_facs):
     :class:`_Cholesky` around ``R^T``.
     """
     r, c = lay.tri_r, lay.tri_c
-    facs = []
-    for xb, (sc, sc_inv) in zip(x_psd, s_facs):
-        g, v = np.linalg.eigh(_sym(sc.T @ xb @ sc))
-        facs.append((sc, sc_inv, v, 0.5 * (g[:, None] + g)))
-    if len(facs) == 1:
-        _, sc_inv, v, g_pair = facs[0]
-        return (sc_inv.T @ v, np.sqrt(g_pair[r, c]), None), []
-    d_invs, f_blocks = [], []
-    for sc, _, v, g_pair in facs:
-        q = sc @ v
-        d_invs.append(lambda vec, q=q, g_pair=g_pair: lay.svec(q @ ((q.T @ lay.smat(vec) @ q) / g_pair) @ q.T))
-        f_blocks.append(lay.skron(q) / np.sqrt(g_pair[r, c]))
-    r_q = np.linalg.qr(np.hstack(f_blocks).T, mode="r")
+    sc, sc_inv = s_fac
+    g, v = np.linalg.eigh(_sym(sc.mT @ x_psd @ sc))
+    g_pair = 0.5 * (g[:, :, None] + g[:, None, :])
+    if len(g) == 1:
+        return (sc_inv[0].T @ v[0], np.sqrt(g_pair[0, r, c]), None), None
+    q = sc @ v
+
+    def d_inv(vecs, blocks=slice(None)):
+        qb = q[blocks]
+        return lay.svec(qb @ ((qb.mT @ lay.smat(vecs) @ qb) / g_pair[blocks]) @ qb.mT)
+
+    f = lay.skron(q) / np.sqrt(g_pair[:, None, r, c])
+    r_q = np.linalg.qr(np.hstack(f).T, mode="r")
     t_mat = _Cholesky.of_factor(r_q.T).backward(np.eye(len(r_q)))
-    return (np.eye(len(x_psd[0])), np.ones(len(r)), t_mat), d_invs
+    return (np.eye(g.shape[1]), np.ones(len(r)), t_mat), d_inv
 
 
 # --------------------------------------------------------------------------
@@ -730,22 +736,23 @@ class _Newton:
     """The scaled, factored Newton system at one iterate.
 
     ``direction(rc_psd, rc_lin)`` returns ``(dx_psd, dx_lin, dy, ds_psd,
-    ds_lin)`` for the complementarity targets ``rc_psd`` (one per PSD block)
-    and ``rc_lin``.  In svec coordinates each block gives
+    ds_lin)`` for the complementarity targets ``rc_psd`` (a ``(b, m, m)``
+    stack, one per PSD block) and ``rc_lin``; ``dx_psd`` and ``ds_psd`` are
+    stacks of the same shape.  In svec coordinates each block gives
     ``dS_b = D_b^-1 (h_b - sign_b dx)`` with ``h_b = svec(sym(rc_b S_b^-1))``,
     and the X-block dual equation then fixes
     ``dx = D (svec(A^T dy) + sum_b sign_b D_b^-1 h_b - rd)``.
     """
 
-    def __init__(self, lay: _Layout, x_psd, x_lin, s_lin, s_facs, residuals):
+    def __init__(self, lay: _Layout, x_psd, x_lin, s_lin, s_fac, residuals):
         prob = lay.prob
         self.lay = lay
         self.x_psd, self.x_lin, self.s_lin = x_psd, x_lin, s_lin
         self.rp, self.rd_mat, self.rd_lin = residuals
-        scaling, self.d_invs = None, []
+        scaling = None
         if lay.matrix_mode:
-            scaling, self.d_invs = _hkm_scaling(lay, x_psd, s_facs)
-            self.s_invs = [sc_inv.T @ sc_inv for _, sc_inv in s_facs]
+            scaling, self.d_inv = _hkm_scaling(lay, x_psd, s_fac)
+            self.s_inv = s_fac[1].mT @ s_fac[1]
         d_lin = x_lin / s_lin
         if not np.isfinite(d_lin).all():
             raise np.linalg.LinAlgError("scalar scaling is not finite")
@@ -764,13 +771,12 @@ class _Newton:
         x_lin, s_lin, rd_lin = self.x_lin, self.s_lin, self.rd_lin
         rhs = self.rp.copy()
         if lay.matrix_mode:
-            h = [lay.svec(_sym(rc @ s_inv)) for rc, s_inv in zip(rc_psd, self.s_invs)]
-            if self.d_invs:
-                z = sum(sign * d_inv(hb) for sign, d_inv, hb in zip(lay.signs, self.d_invs, h))
-                dz = self._d(lay.smat(z) - self.rd_mat)
+            h = lay.svec(_sym(rc_psd @ self.s_inv))
+            if self.d_inv is None:
+                dz = h[0] - lay.svec(_sym(self.x_psd[0] @ self.rd_mat @ self.s_inv[0]))
             else:
-                x_mat, s_inv = self.x_psd[0], self.s_invs[0]
-                dz = h[0] - lay.svec(_sym(x_mat @ self.rd_mat @ s_inv))
+                z = sum(sign * dh for sign, dh in zip(lay.signs, self.d_inv(h)))
+                dz = self._d(lay.smat(z) - self.rd_mat)
             rhs -= lay.apply_psd(lay.smat(dz))
         w = (rc_lin - x_lin * rd_lin) / s_lin
         rhs -= lay.apply_lin(w)
@@ -778,16 +784,17 @@ class _Newton:
         ds_lin = rd_lin - lay.adjoint_lin(dy)
         dx_lin = (rc_lin - x_lin * ds_lin) / s_lin
         if not lay.matrix_mode:
-            return [], dx_lin, dy, [], ds_lin
+            # the empty (0, 0, 0) stacks of a linear program
+            return rc_psd, dx_lin, dy, rc_psd, ds_lin
         adj = lay.adjoint_psd(dy)
         dx = dz + self._d(adj)
-        ds_psd = [self.rd_mat - adj]
-        for sign, d_inv, hb in zip(lay.signs[1:], self.d_invs[1:], h[1:]):
-            dsb = lay.smat(d_inv(hb - sign * dx))
-            ds_psd[0] -= sign * dsb
-            ds_psd.append(dsb)
-        dx_mat = lay.smat(dx)
-        return [sign * dx_mat for sign in lay.signs], dx_lin, dy, ds_psd, ds_lin
+        ds_psd = (self.rd_mat - adj)[None]
+        if self.d_inv is not None:
+            ds_w = lay.smat(self.d_inv(h[1:] - lay.signs[1:, None] * dx, slice(1, None)))
+            for sign, dsb in zip(lay.signs[1:], ds_w):
+                ds_psd[0] -= sign * dsb
+            ds_psd = np.concatenate([ds_psd, ds_w])
+        return lay.signs[:, None, None] * lay.smat(dx), dx_lin, dy, ds_psd, ds_lin
 
 
 def _chol_with_ridge(h):
@@ -955,17 +962,19 @@ def _primal_start(lay: _Layout):
 def _start_state(lay: _Layout):
     """The primal start with the dual start's slacks when they are interior,
     else with y = 0 and unit dual slacks."""
-    m = lay.prob.psd_dim
     x_mat, x_lin = _primal_start(lay)
+    s_unit = np.tile(np.eye(lay.prob.psd_dim), (len(lay.signs), 1, 1))
     y = lay.prob.dual_start
     if y is not None:
         s_lin = lay.c_lin - lay.adjoint_lin(y)
-        s_x = [-lay.adjoint_psd(y)] if lay.matrix_mode else []
-        if (s_lin > 1e-12).all() and all(np.linalg.eigvalsh(s).min() > 1e-12 for s in s_x):
-            # equal dual slacks on W1 and W2 cancel in the X-block dual
-            # residual, so the start stays exactly dual feasible
-            return x_mat, x_lin, y.copy(), s_x + [np.eye(m) for _ in lay.signs[1:]], s_lin
-    return x_mat, x_lin, np.zeros(lay.k), [np.eye(m) for _ in lay.signs], np.ones(lay.n_lin)
+        # equal dual slacks on W1 and W2 cancel in the X-block dual
+        # residual, so the start stays exactly dual feasible
+        s_psd = s_unit.copy()
+        if lay.matrix_mode:
+            s_psd[0] = -lay.adjoint_psd(y)
+        if (s_lin > 1e-12).all() and (np.linalg.eigvalsh(s_psd) > 1e-12).all():
+            return x_mat, x_lin, y.copy(), s_psd, s_lin
+    return x_mat, x_lin, np.zeros(lay.k), s_unit, np.ones(lay.n_lin)
 
 
 def _measure(lay: _Layout, x_mat, x_lin, y, s_psd, s_lin):
@@ -988,16 +997,12 @@ def _measure(lay: _Layout, x_mat, x_lin, y, s_psd, s_lin):
 def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
     x_mat, x_lin, y, s_psd, s_lin = _start_state(lay)
     x_psd = lay.blocks(x_mat)
-    nu = sum(len(b) for b in x_psd) + lay.n_lin
+    nu = x_psd.shape[0] * x_psd.shape[1] + lay.n_lin
     gap_history: list[float] = []
     status = SolverStatus.MAX_ITER
     iters = 0
     ridges = 0
     best, best_merit, stalled = None, np.inf, 0  # the best-merit iterate, with its basic-test flag
-
-    def snapshot():
-        x_copy = None if x_mat is None else x_mat.copy()
-        return x_copy, x_lin.copy(), y.copy(), [b.copy() for b in s_psd], s_lin.copy()
 
     for iters in range(settings.max_iter + 1):
         residuals, gap, pobj, dobj, p_inf, d_inf = _measure(lay, x_mat, x_lin, y, s_psd, s_lin)
@@ -1008,12 +1013,13 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         # the stationarity products |X_b S_b|_F can sit well above the trace
         # gap when the optimal X is nearly singular; polishing until they
         # pass keeps every Optimal solve inside the KKT residual contract
-        psd_prod = max(
-            (np.linalg.norm(xb @ sb) for xb, sb in zip(x_psd, s_psd)), default=0.0
-        ) / (1.0 + abs(pobj))
+        xs = x_psd @ s_psd
+        psd_prod = max(map(np.linalg.norm, xs), default=0.0) / (1.0 + abs(pobj))
         basic_ok = max(rel_gap, obj_gap) <= settings.gap_tol and max(p_inf, d_inf) <= settings.feas_tol
         if merit < best_merit:
-            best_merit, best, stalled = merit, (snapshot(), basic_ok), 0
+            # every update below binds new arrays and writes into none, so
+            # the best iterate is kept by reference
+            best_merit, best, stalled = merit, ((x_mat, x_lin, y, s_psd, s_lin), basic_ok), 0
         else:
             stalled += 1
         if basic_ok and (psd_prod <= 5.0 * settings.gap_tol or rel_gap <= 1e-3 * settings.gap_tol):
@@ -1025,9 +1031,12 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
 
         mu = gap / nu
         try:
-            x_invs = [_chol_inv(_sym(xb))[1] for xb in x_psd]
-            s_facs = [_chol_inv(_sym(sb)) for sb in s_psd]
-            newton = _Newton(lay, x_psd, x_lin, s_lin, s_facs, residuals)
+            # a linear program's stacks are empty: skip the calls that factor them
+            x_inv = s_fac = None
+            if lay.matrix_mode:
+                x_inv = _chol_inv(_sym(x_psd))[1]
+                s_fac = _chol_inv(_sym(s_psd))
+            newton = _Newton(lay, x_psd, x_lin, s_lin, s_fac, residuals)
         except np.linalg.LinAlgError:
             status = SolverStatus.NUMERICAL_FAILURE
             break
@@ -1035,14 +1044,9 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
 
         def boundary_steps(dxp, dxl, dsp, dsl):
             """Primal and dual step lengths that reach the cone boundary."""
-            a_p = min(
-                min((_psd_max_step(c, d) for c, d in zip(x_invs, dxp)), default=np.inf),
-                _lin_max_step(x_lin, dxl),
-            )
-            a_d = min(
-                min((_psd_max_step(c, d) for (_, c), d in zip(s_facs, dsp)), default=np.inf),
-                _lin_max_step(s_lin, dsl),
-            )
+            a_p, a_d = _lin_max_step(x_lin, dxl), _lin_max_step(s_lin, dsl)
+            if lay.matrix_mode:
+                a_p, a_d = min(_psd_max_step(x_inv, dxp), a_p), min(_psd_max_step(s_fac[1], dsp), a_d)
             return a_p, a_d
 
         def gap_after(dxp, dxl, dsp, dsl, a_p, a_d):
@@ -1052,18 +1056,14 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
             ) + (x_lin + a_p * dxl) @ (s_lin + a_d * dsl)
 
         # predictor
-        rc_psd = [-xb @ sb for xb, sb in zip(x_psd, s_psd)]
         rc_lin = -x_lin * s_lin
-        dxp_a, dxl_a, _, dsp_a, dsl_a = newton.direction(rc_psd, rc_lin)
+        dxp_a, dxl_a, _, dsp_a, dsl_a = newton.direction(-xs, rc_lin)
         bp_a, bd_a = boundary_steps(dxp_a, dxl_a, dsp_a, dsl_a)
         gap_aff = gap_after(dxp_a, dxl_a, dsp_a, dsl_a, min(bp_a, 1.0), min(bd_a, 1.0))
         sigma = min(max((gap_aff / gap) ** 3, 0.0), 0.99999)
 
         # corrector
-        rc_psd = [
-            sigma * mu * np.eye(len(xb)) - xb @ sb - dxp_a[b] @ dsp_a[b]
-            for b, (xb, sb) in enumerate(zip(x_psd, s_psd))
-        ]
+        rc_psd = sigma * mu * np.eye(x_psd.shape[1]) - xs - dxp_a @ dsp_a
         rc_lin = sigma * mu - x_lin * s_lin - dxl_a * dsl_a
         dx_psd, dx_lin, dy, ds_psd, ds_lin = newton.direction(rc_psd, rc_lin)
 
@@ -1077,8 +1077,7 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         if lay.matrix_mode:
             x_mat = _sym(x_mat + ap * dx_psd[0])
             x_psd = lay.blocks(x_mat)
-        for b in range(len(s_psd)):
-            s_psd[b] = _sym(s_psd[b] + ad * ds_psd[b])
+        s_psd = _sym(s_psd + ad * ds_psd)
         x_lin = x_lin + ap * dx_lin
         s_lin = s_lin + ad * ds_lin
         y = y + ad * dy
@@ -1105,12 +1104,8 @@ def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
 
     bound_info = {}
     if lay.bounds is not None:
-        bound_info = {
-            "upper_slack": _sym(x_psd[1]),
-            "lower_slack": _sym(x_psd[2]),
-            "upper_dual": _sym(s_psd[1]),
-            "lower_dual": _sym(s_psd[2]),
-        }
+        w1, w2, z1, z2 = _sym(np.concatenate([x_psd[1:], s_psd[1:]]))
+        bound_info = {"upper_slack": w1, "lower_slack": w2, "upper_dual": z1, "lower_dual": z2}
 
     return ConicSolution(
         X=x_out,

@@ -17,14 +17,16 @@ def seeded_frame(m, n_vectors=64, trial=0):
 
 
 def iterate_at(prob, iters):
-    """The PSD blocks (X, then W1 and W2 under bounds), their dual slacks and
-    the scalar pair (x, s) at the iterate a solve capped at ``iters`` returns."""
+    """The stacks of PSD blocks (X, then W1 and W2 under bounds) and of their
+    dual slacks, and the scalar pair (x, s), at the iterate a solve capped at
+    ``iters`` returns."""
     sol = conic.solve(prob, conic.SolverSettings(max_iter=iters))
     xs, ss = [sol.X], [sol.dual_psd]
     if prob.eig_bounds is not None:
         info = sol.bound_info
         xs += [info["upper_slack"], info["lower_slack"]]
         ss += [info["upper_dual"], info["lower_dual"]]
+    xs, ss = np.array(xs), np.array(ss)
     x_lin = np.concatenate([[sol.q], sol.slacks, sol.extras])
     s_lin = np.concatenate([[sol.q_dual], sol.slack_duals, sol.extra_duals])
     return sol, xs, ss, x_lin, s_lin
@@ -36,7 +38,7 @@ def schur_rows_at(prob, iters):
     lay = conic._Layout(prob)
     scaling = None
     if lay.matrix_mode:
-        scaling, _ = conic._hkm_scaling(lay, xs, [conic._chol_inv(s) for s in ss])
+        scaling, _ = conic._hkm_scaling(lay, xs, conic._chol_inv(ss))
     return conic._SchurRows(lay, scaling, np.sqrt((x_lin / s_lin)[lay.shared_idx]))
 
 
@@ -417,6 +419,52 @@ class TestCholesky:
         assert np.abs((h + ridge * np.eye(130)) @ fac.solve(b) - b).max() <= 1e-8
 
 
+class TestStackedHelpers:
+    """The helpers over a ``(3, m, m)`` stack, as the bounded program carries
+    its PSD blocks, against one call per block: the same bits."""
+
+    @pytest.fixture(params=[5, 40], ids=["m5", "m40"])   # 40: _tri_inv splits above order 32
+    def stack(self, request):
+        return np.array([spd_matrix(request.param, 1e4, seed) for seed in range(3)])
+
+    @staticmethod
+    def layout(m):
+        return conic._Layout(conic.ConicProblem(psd_dim=m, rhs=np.zeros(1)))
+
+    def test_cholesky_pair_and_triangle_inverse(self, stack):
+        lower, inv = conic._chol_inv(stack)
+        for b, a in enumerate(stack):
+            one_lower, one_inv = conic._chol_inv(a)
+            assert np.array_equal(lower[b], one_lower)
+            assert np.array_equal(inv[b], one_inv)
+            assert np.array_equal(conic._tri_inv(lower)[b], conic._tri_inv(one_lower))
+
+    def test_svec_smat_skron(self, stack):
+        lay = self.layout(stack.shape[-1])
+        vecs = lay.svec(stack)
+        p = np.linalg.cholesky(stack)       # not symmetric, as skron's P and Q
+        mats, krons = lay.smat(vecs), lay.skron(p)
+        for b, a in enumerate(stack):
+            assert np.array_equal(vecs[b], lay.svec(a))
+            assert np.array_equal(mats[b], lay.smat(vecs[b]))
+            assert np.array_equal(krons[b], lay.skron(p[b]))
+        assert np.allclose(mats, stack, rtol=0.0, atol=1e-15)
+
+    def test_psd_max_step_is_the_smallest_block_step(self, stack):
+        inv = conic._chol_inv(stack)[1]
+        rng = np.random.default_rng(5)
+        noise = rng.standard_normal(stack.shape)
+        delta = noise + noise.mT
+        steps = [conic._psd_max_step(inv[b], delta[b]) for b in range(3)]
+        assert np.isfinite(steps).all()
+        assert conic._psd_max_step(inv, delta) == min(steps)
+        # a block that any step keeps PSD does not limit the stack
+        delta[1] = stack[1]
+        assert conic._psd_max_step(inv[1], delta[1]) == np.inf
+        assert conic._psd_max_step(inv, delta) == min(steps[0], steps[2])
+        assert conic._psd_max_step(inv, stack) == np.inf
+
+
 class TestKKTModes:
     @staticmethod
     def check_solve(kkt, op, n):
@@ -596,14 +644,14 @@ class TestSvecDirection:
         x_lin = x_lin * (1.0 + 1e-2 * rng.uniform(size=len(x_lin)))
         y = sol.y + 1e-4 * rng.standard_normal(len(sol.y))
         mu = (sum(np.tensordot(x, s) for x, s in zip(xs, ss)) + x_lin @ s_lin) / (12 * len(xs) + len(x_lin))
-        rc_psd = [0.3 * mu * np.eye(12) - x @ s for x, s in zip(xs, ss)]
+        rc_psd = 0.3 * mu * np.eye(12) - xs @ ss
         rc_lin = 0.3 * mu - x_lin * s_lin
         d_x, d_y, d_s, (rp, rd_x, rd_lin), q = full_hkm_direction(
             prob, xs, ss, x_lin, s_lin, y, rc_psd, rc_lin
         )
         lay = conic._Layout(prob)
         newton = conic._Newton(
-            lay, xs, x_lin, s_lin, [conic._chol_inv(s) for s in ss],
+            lay, xs, x_lin, s_lin, conic._chol_inv(ss),
             (rp, (q @ rd_x).reshape(12, 12), rd_lin),
         )
         dx_psd, _, dy, ds_psd, _ = newton.direction(rc_psd, rc_lin)
@@ -809,6 +857,46 @@ class TestEigenvalueBounds:
             conic.ConicProblem(psd_dim=2, rhs=np.zeros(1), eig_bounds=(1.0, 2.0))
         with pytest.raises(ValueError):
             conic.ConicProblem(psd_dim=2, rhs=np.zeros(1), eig_bounds=(np.inf, 0.5))
+
+
+def simplex_etf(m):
+    """m + 1 unit vectors in R^m with mutual inner products -1/m."""
+    basis = np.linalg.eigh(np.eye(m + 1) - 1.0 / (m + 1))[1][:, 1:]
+    return basis.T / np.sqrt(m / (m + 1))
+
+
+def icosahedron_diagonals():
+    """The six diagonals of the icosahedron: unit vectors in R^3 with
+    mutual inner products +-1/sqrt(5)."""
+    phi = 0.5 * (1.0 + np.sqrt(5.0))
+    vecs = np.array([[0, 1, phi], [0, -1, phi], [1, phi, 0], [-1, phi, 0], [phi, 0, 1], [phi, 0, -1]])
+    return vecs.T / np.sqrt(1.0 + phi**2)
+
+
+class TestNearETFs:
+    """Equiangular tight frames attain the Welch bound, so X = I is optimal
+    with every pair row active at once; slightly perturbed ones are nearly
+    that degenerate, on the one-block and the three-block (W1, W2) paths."""
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-9])
+    @pytest.mark.parametrize(
+        "etf",
+        [lambda: simplex_etf(4), lambda: simplex_etf(8), icosahedron_diagonals,
+         lambda: frames.mercedes_benz_frame().matrix],
+        ids=["simplex-4x5", "simplex-8x9", "icosahedron-3x6", "mercedes-benz-2x3"],
+    )
+    def test_perturbed_etf_reaches_optimal(self, etf, eps):
+        settings = conic.SolverSettings(gap_tol=1e-7, feas_tol=1e-7)
+        mat = etf()
+        assert coherence_of(mat) == pytest.approx(frames.welch_bound(*mat.shape), abs=1e-12)
+        mat = mat + eps * np.random.default_rng(1).standard_normal(mat.shape)
+        fr = frames.Frame(mat / np.linalg.norm(mat, axis=0))
+        mu = coherence_of(fr.matrix)
+        for bounds in (None, (2.0, 0.5)):
+            res = solve_coherence(fr, settings, bounds=bounds)
+            assert res.solution.status == conic.SolverStatus.OPTIMAL, f"bounds {bounds}"
+            # the solver may return a G marginally worse than the identity
+            assert res.verified_coherence <= mu + 10 * settings.gap_tol, f"bounds {bounds}"
 
 
 class TestDualStart:
