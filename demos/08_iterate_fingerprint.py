@@ -15,12 +15,16 @@ benchmark workload makes at SEED (default 0):
 
 Every ``conic.solve`` call prints the workload, the item, the program, the
 problem's shape (m x atoms for a matrix program, rows x columns for a linear
-one), the status, the iteration count, the objective q in ``float.hex``
-form and a digest of the returned X, so that two outputs are
-byte-identical exactly when every solve returned the same q, X, status and
-iteration count.  A pinned solve prints once, for its outer call.  The
-phase diagrams also print the digest of their success-rate grid.  One BLAS
-thread is pinned, as in the benchmark, so that the output repeats.
+one), the status, the iteration count, the objective q, the gap and the
+primal and dual infeasibilities in ``float.hex`` form, a digest of the
+returned X and one digest of every other array and number the solution
+carries (y, the dual slack matrix, the ``bound_info`` arrays, the scalar
+slacks, extras and their duals, the dual objective, the gap history, the
+dropped rows and the ridge count), so that two outputs are byte-identical
+exactly when every solve returned the same solution, field for field.  A
+pinned solve prints once, for its outer call.  The phase diagrams also print the digest of their
+success-rate grid.  One BLAS thread is pinned, as in the benchmark, so
+that the output repeats.
 """
 
 import hashlib
@@ -30,6 +34,8 @@ import sys
 # set before numpy is first imported
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import numpy as np
 
 from framecond import conic, experiments, frames, precondition
 from framecond.experiments import FRAME_STREAM, trial_rng
@@ -42,8 +48,19 @@ def frame_for(seed, m, n_vectors, trial=0):
     return frames.random_gaussian_frame(m, n_vectors, frame_seed)
 
 
-def digest(array):
-    return hashlib.sha256(array.tobytes()).hexdigest()[:16]
+def digest(*arrays):
+    h = hashlib.sha256()
+    for array in arrays:
+        h.update(np.asarray(array, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def rest_digest(sol):
+    """One digest of the solution's fields other than X and the printed scalars."""
+    info = [sol.bound_info[key] for key in sorted(sol.bound_info)]
+    return digest(sol.y, [] if sol.dual_psd is None else sol.dual_psd, *info, sol.slacks, sol.extras,
+                  sol.q_dual, sol.slack_duals, sol.extra_duals, sol.dobj, sol.rel_gap, sol.gap_history,
+                  sol.dropped_rows, sol.kkt_ridges)
 
 
 def program(prob):
@@ -73,7 +90,9 @@ class Recorder:
         if not self.depth:
             name, shape = program(prob)
             x_digest = "-" if sol.X is None else digest(sol.X)
-            print(self.workload, self.item, name, shape, sol.status, sol.iterations, float(sol.q).hex(), x_digest)
+            scalars = [float(v).hex() for v in (sol.q, sol.gap, sol.primal_infeas, sol.dual_infeas)]
+            print(self.workload, self.item, name, shape, sol.status, sol.iterations, *scalars, x_digest,
+                  rest_digest(sol))
         return sol
 
 

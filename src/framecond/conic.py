@@ -365,10 +365,11 @@ class _Layout:
             out += self.ext @ x_lin[self.ex_off :]
         return out
 
-    def apply(self, x_mat, x_lin):
+    def apply(self, x_psd, x_lin):
+        """Every row's value at the PSD stack x_psd and scalar vector x_lin."""
         out = self.apply_lin(x_lin)
         if self.matrix_mode:
-            out += self.apply_psd(x_mat)
+            out += self.apply_psd(x_psd[0])
         return out
 
     def adjoint_lin(self, y):
@@ -653,9 +654,10 @@ class _KKTFactor:
     (weights B) are eliminated through the Woodbury identity: the core
     ``I + U^T B^-1 U = L L^T`` comes from its Khatri-Rao form, and the free
     rows through their Schur complement ``Y^T Y + N_f`` with
-    ``Y = L^-1 U_f^T``, so only the free rows of U are ever materialised.
-    Otherwise H is formed and factored densely.  Solves are polished by
-    iterative refinement.
+    ``Y = L^-1 U_f^T``, so only the free rows of U are ever materialised
+    (with none, Y is width x 0 and the Schur complement 0 x 0).  Otherwise
+    H is formed and factored densely.  Solves are polished by iterative
+    refinement.
     """
 
     def __init__(self, n_diag, op: _SchurRows):
@@ -681,11 +683,10 @@ class _KKTFactor:
         core = op.weighted_gram(self.binv)
         core[np.diag_indices_from(core)] += 1.0
         self.core_fac = self._factor(core)
-        if len(self.free):
-            self.yf = self.core_fac.forward(op.rows(self.free).T)
-            sf = self.yf.T @ self.yf
-            sf[np.diag_indices_from(sf)] += n_diag[self.free]
-            self.free_fac = self._factor(sf)
+        self.yf = self.core_fac.forward(op.rows(self.free).T)
+        sf = self.yf.T @ self.yf
+        sf[np.diag_indices_from(sf)] += n_diag[self.free]
+        self.free_fac = self._factor(sf)
 
     def _factor(self, h):
         fac, ridge = _chol_with_ridge(h)
@@ -700,8 +701,6 @@ class _KKTFactor:
         # B^-1 (r - U L^-T (z + Y lam_f))
         op, binv = self.op, self.binv
         z = self.core_fac.forward(op.rmatvec(binv * r))
-        if not len(self.free):
-            return binv * (r - op.matvec(self.core_fac.backward(z)))
         lam_f = self.free_fac.solve(r[self.free] - self.yf.T @ z)
         out = binv * (r - op.matvec(self.core_fac.backward(z + self.yf @ lam_f)))
         out[self.free] = lam_f
@@ -935,34 +934,35 @@ def solve(problem: ConicProblem, settings: SolverSettings = SolverSettings()) ->
     return sol
 
 
-def _floor_slacks(lay: _Layout, x_mat, x_lin):
-    """Make each slack absorb its row residual, floored away from zero."""
+def _floor_slacks(lay: _Layout, x_psd, x_lin):
+    """Make each slack absorb its row residual at x_psd, floored away from zero."""
     if not lay.n_slack:
         return x_lin
     probe = x_lin.copy()
     probe[1 : lay.ex_off] = 0.0
-    base = lay.apply(x_mat, probe)
+    base = lay.apply(x_psd, probe)
     resid = lay.b[lay.prob.slack_rows] - base[lay.prob.slack_rows]
     x_lin[1 : lay.ex_off] = np.maximum(resid, 0.1)
     return x_lin
 
 
 def _primal_start(lay: _Layout):
-    """X = I, or the box's midpoint when I is not 1e-3 (t1 - t2) inside it;
-    q and the extras at 1; each slack from :func:`_floor_slacks`."""
+    """The PSD stack of X = I, or of the box's midpoint when I is not 1e-3 (t1 - t2)
+    inside it, and q and the extras at 1, each slack from :func:`_floor_slacks`."""
     x_mat = np.eye(lay.prob.psd_dim) if lay.matrix_mode else None
     if lay.bounds is not None:
         t1, t2 = lay.bounds
         margin = 1e-3 * (t1 - t2)
         if not t2 + margin < 1.0 < t1 - margin:
             x_mat *= 0.5 * (t1 + t2)
-    return x_mat, _floor_slacks(lay, x_mat, np.ones(lay.n_lin))
+    x_psd = lay.blocks(x_mat)
+    return x_psd, _floor_slacks(lay, x_psd, np.ones(lay.n_lin))
 
 
 def _start_state(lay: _Layout):
-    """The primal start with the dual start's slacks when they are interior,
-    else with y = 0 and unit dual slacks."""
-    x_mat, x_lin = _primal_start(lay)
+    """``(x_psd, x_lin, y, s_psd, s_lin)``: the primal start with the dual start's
+    slacks when they are interior, else with y = 0 and unit dual slacks."""
+    x_psd, x_lin = _primal_start(lay)
     s_unit = np.tile(np.eye(lay.prob.psd_dim), (len(lay.signs), 1, 1))
     y = lay.prob.dual_start
     if y is not None:
@@ -973,39 +973,39 @@ def _start_state(lay: _Layout):
         if lay.matrix_mode:
             s_psd[0] = -lay.adjoint_psd(y)
         if (s_lin > 1e-12).all() and (np.linalg.eigvalsh(s_psd) > 1e-12).all():
-            return x_mat, x_lin, y.copy(), s_psd, s_lin
-    return x_mat, x_lin, np.zeros(lay.k), s_unit, np.ones(lay.n_lin)
+            return x_psd, x_lin, y.copy(), s_psd, s_lin
+    return x_psd, x_lin, np.zeros(lay.k), s_unit, np.ones(lay.n_lin)
 
 
-def _measure(lay: _Layout, x_mat, x_lin, y, s_psd, s_lin):
-    """Residuals ``(rp, rd_mat, rd_lin)`` of a primal-dual point, its
-    complementarity gap, both objectives and the scaled primal and dual
-    infeasibilities."""
-    x_psd = lay.blocks(x_mat)
-    rp = lay.b - lay.apply(x_mat, x_lin)
+def _measure(lay: _Layout, x_psd, x_lin, y, s_psd, s_lin):
+    """The residuals ``(rp, rd_mat, rd_lin)`` of a primal-dual point and its
+    measurement ``(gap, pobj, dobj, p_inf, d_inf)``: the complementarity gap,
+    both objectives and the scaled primal and dual infeasibilities."""
+    rp = lay.b - lay.apply(x_psd, x_lin)
     rd_mat = lay.dual_residual(y, s_psd)
     rd_lin = lay.c_lin - s_lin - lay.adjoint_lin(y)
-    gap = float(sum(np.tensordot(xb, sb) for xb, sb in zip(x_psd, s_psd)) + x_lin @ s_lin)
+    gap = float(sum(np.vdot(xb, sb) for xb, sb in zip(x_psd, s_psd)) + x_lin @ s_lin)
     p_inf = float(np.abs(rp).max()) / (1.0 + np.abs(lay.b).max())
     d_inf = max(
         float(np.abs(rd_lin).max()),
         float(np.abs(rd_mat).max()) if rd_mat is not None else 0.0,
     ) / 2.0
-    return (rp, rd_mat, rd_lin), gap, float(x_lin[0]), lay.dual_objective(y, s_psd), p_inf, d_inf
+    return (rp, rd_mat, rd_lin), (gap, float(x_lin[0]), lay.dual_objective(y, s_psd), p_inf, d_inf)
 
 
 def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
-    x_mat, x_lin, y, s_psd, s_lin = _start_state(lay)
-    x_psd = lay.blocks(x_mat)
+    x_psd, x_lin, y, s_psd, s_lin = _start_state(lay)
     nu = x_psd.shape[0] * x_psd.shape[1] + lay.n_lin
     gap_history: list[float] = []
     status = SolverStatus.MAX_ITER
     iters = 0
     ridges = 0
-    best, best_merit, stalled = None, np.inf, 0  # the best-merit iterate, with its basic-test flag
+    best, best_merit, stalled = None, np.inf, 0  # the best-merit iterate, measured, with its basic-test flag
 
-    for iters in range(settings.max_iter + 1):
-        residuals, gap, pobj, dobj, p_inf, d_inf = _measure(lay, x_mat, x_lin, y, s_psd, s_lin)
+    # the loop ends right after measuring the point it holds
+    for iters in range(max(settings.max_iter, 0) + 1):
+        residuals, measured = _measure(lay, x_psd, x_lin, y, s_psd, s_lin)
+        gap, pobj, dobj, p_inf, d_inf = measured
         rel_gap = gap / (1.0 + abs(pobj))
         gap_history.append(gap)
         obj_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
@@ -1019,13 +1019,13 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         if merit < best_merit:
             # every update below binds new arrays and writes into none, so
             # the best iterate is kept by reference
-            best_merit, best, stalled = merit, ((x_mat, x_lin, y, s_psd, s_lin), basic_ok), 0
+            best_merit, best, stalled = merit, ((x_psd, x_lin, y, s_psd, s_lin), measured, basic_ok), 0
         else:
             stalled += 1
         if basic_ok and (psd_prod <= 5.0 * settings.gap_tol or rel_gap <= 1e-3 * settings.gap_tol):
             status = SolverStatus.OPTIMAL
             break
-        if iters == settings.max_iter or stalled == STALL_ITERS:
+        if iters >= settings.max_iter or stalled == STALL_ITERS:
             # a flat merit has reached the accuracy floor of the directions
             break
 
@@ -1051,7 +1051,7 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
 
         def gap_after(dxp, dxl, dsp, dsl, a_p, a_d):
             return sum(
-                np.tensordot(xb + a_p * dxb, sb + a_d * dsb)
+                np.vdot(xb + a_p * dxb, sb + a_d * dsb)
                 for xb, dxb, sb, dsb in zip(x_psd, dxp, s_psd, dsp)
             ) + (x_lin + a_p * dxl) @ (s_lin + a_d * dsl)
 
@@ -1075,8 +1075,7 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
         if min(ap, ad) < 1e-10:
             break
         if lay.matrix_mode:
-            x_mat = _sym(x_mat + ap * dx_psd[0])
-            x_psd = lay.blocks(x_mat)
+            x_psd = lay.blocks(_sym(x_psd[0] + ap * dx_psd[0]))
         s_psd = _sym(s_psd + ad * ds_psd)
         x_lin = x_lin + ap * dx_lin
         s_lin = s_lin + ad * ds_lin
@@ -1085,26 +1084,25 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
     if status != SolverStatus.OPTIMAL and best is not None:
         # the best-merit iterate; if it met the basic criteria, only the
         # stationarity polish stalled, so it is reported as Optimal
-        (x_mat, x_lin, y, s_psd, s_lin), basic_ok = best
+        (x_psd, x_lin, y, s_psd, s_lin), measured, basic_ok = best
         if basic_ok:
             status = SolverStatus.OPTIMAL
-    sol = _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history)
+    sol = _package(lay, x_psd, x_lin, y, s_psd, s_lin, measured, status, iters, gap_history)
     sol.kkt_ridges = ridges
     return sol
 
 
-def _package(lay, x_mat, x_lin, y, s_psd, s_lin, status, iters, gap_history):
-    x_psd = lay.blocks(x_mat)
-    _, gap, pobj, dobj, p_inf, d_inf = _measure(lay, x_mat, x_lin, y, s_psd, s_lin)
-
+def _package(lay, x_psd, x_lin, y, s_psd, s_lin, measured, status, iters, gap_history):
+    """The solution at a loop point, given the measurement :func:`_measure` took of it."""
+    gap, pobj, dobj, p_inf, d_inf = measured
+    # the start and every update keep each block exactly symmetric
     x_out = s_out = None
     if lay.matrix_mode:
-        x_out = _sym(x_mat)
-        s_out = _sym(s_psd[0])
+        x_out, s_out = x_psd[0].copy(), s_psd[0].copy()
 
     bound_info = {}
     if lay.bounds is not None:
-        w1, w2, z1, z2 = _sym(np.concatenate([x_psd[1:], s_psd[1:]]))
+        w1, w2, z1, z2 = np.concatenate([x_psd[1:], s_psd[1:]])
         bound_info = {"upper_slack": w1, "lower_slack": w2, "upper_dual": z1, "lower_dual": z2}
 
     return ConicSolution(

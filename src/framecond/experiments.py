@@ -33,11 +33,19 @@ FRAME_STREAM = 0
 SIGNAL_STREAM = 1
 
 SUCCESS_TOL = 1e-4   # relative l2 error below which a trial counts as recovered
+# the preconditioner solves' settings when an experiment is given none
+_SETTINGS = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
 
 
 def trial_rng(seed: int, stream: int, *keys: int) -> np.random.Generator:
     """Deterministic child generator for one cell of an experiment grid."""
     return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream), *map(int, keys)]))
+
+
+def _seeded_frame(seed: int, m: int, n_vectors: int, trial: int) -> Frame:
+    """The m x n_vectors Gaussian frame of one (m, trial) cell."""
+    frame_seed = trial_rng(seed, FRAME_STREAM, m, 0, trial).integers(2**63)
+    return random_gaussian_frame(m, n_vectors, int(frame_seed))
 
 
 @dataclass(frozen=True)
@@ -100,13 +108,12 @@ def coherence_table(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if settings is None:
-        settings = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
+        settings = _SETTINGS
     rows = []
     for m in m_list:
         mus, mus_after, failed = [], [], 0
         for trial in range(trials):
-            frame_seed = trial_rng(seed, FRAME_STREAM, m, 0, trial).integers(2**63)
-            frame = random_gaussian_frame(m, n_vectors, int(frame_seed))
+            frame = _seeded_frame(seed, m, n_vectors, trial)
             mus.append(coherence(frame))
             g, status = _preconditioner(frame, variant, settings)
             mus_after.append(coherence(Frame(g @ frame.matrix)))
@@ -168,14 +175,13 @@ def phase_diagram(
         raise ValueError("every m must satisfy 1 <= m <= M")
     decode_settings = settings
     if settings is None:
-        settings = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
+        settings = _SETTINGS
     s_max = max(m_grid)
     rates = np.full((len(m_grid), s_max), np.nan)
     failed = np.zeros((len(m_grid), s_max), dtype=int)
     curve = np.zeros(len(m_grid), dtype=int)
     for row, m in enumerate(m_grid):
-        frame_seed = trial_rng(seed, FRAME_STREAM, m, 0, 0).integers(2**63)
-        frame = random_gaussian_frame(m, n_vectors, int(frame_seed))
+        frame = _seeded_frame(seed, m, n_vectors, 0)
         if pipeline == "phi":
             g = np.eye(m)
         else:
@@ -226,7 +232,7 @@ def condition_sweep(
     if any(t < t2 for t in t1_grid):
         raise ValueError("every t1 must be >= t2")
     if settings is None:
-        settings = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
+        settings = _SETTINGS
     record = SweepRecord(t2=float(t2), t1_grid=t1_grid)
     for t1 in t1_grid:
         result = solve_coherence(frame, settings, bounds=(t1, t2))

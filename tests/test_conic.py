@@ -493,6 +493,15 @@ class TestKKTModes:
         assert not kkt.dense
         self.check_solve(kkt, op, n)
 
+    def test_woodbury_without_free_rows(self):
+        # every row damped: Y is width x 0 and S_f is 0 x 0
+        prob = build_c1(frames.random_gaussian_frame(5, 10, 0))
+        op = schur_rows_at(prob, 3)
+        n = np.random.default_rng(1).uniform(1e-3, 5.0, size=prob.n_rows)
+        kkt = conic._KKTFactor(n, op)
+        assert not kkt.dense and len(kkt.free) == 0
+        self.check_solve(kkt, op, n)
+
     def test_wide_lp_is_dense(self):
         # basis pursuit on a 4 x 10 matrix: 5 rows against 21 columns; with
         # one free row the width alone makes the Woodbury core too large
@@ -926,9 +935,9 @@ class TestBalancedStart:
         prob = build_c1(fr) if kind == "c1" else build_diagonal_lp(fr)
         np.testing.assert_array_equal(prob.dual_start, np.full(big_m**2, -1.0 / big_m**2))
         lay = conic._Layout(prob)
-        x_mat, x_lin, y, s_psd, s_lin = conic._start_state(lay)
+        x_psd, x_lin, y, s_psd, s_lin = conic._start_state(lay)
         np.testing.assert_array_equal(y, prob.dual_start)   # taken, not the y = 0 fallback
-        (_, rd_mat, rd_lin), *_ = conic._measure(lay, x_mat, x_lin, y, s_psd, s_lin)
+        (_, rd_mat, rd_lin), _ = conic._measure(lay, x_psd, x_lin, y, s_psd, s_lin)
         assert np.abs(rd_lin).max() <= 1e-14
         assert (s_lin > 0).all()
         assert s_lin[0] == pytest.approx(1.0 / big_m)
@@ -971,6 +980,15 @@ class TestStatusHandling:
         assert sol.iterations <= 2
         assert np.isfinite(sol.q)
 
+    def test_negative_max_iter_returns_the_start(self):
+        # no step is taken: the start is measured and returned, as at max_iter = 0
+        prob = build_c1(frames.random_gaussian_frame(4, 10, 17))
+        sol = conic.solve(prob, conic.SolverSettings(max_iter=-1))
+        start = conic.solve(prob, conic.SolverSettings(max_iter=0))
+        assert (sol.status, sol.iterations) == (conic.SolverStatus.MAX_ITER, 0)
+        assert sol.gap == start.gap
+        np.testing.assert_array_equal(sol.X, start.X)
+
     def test_flat_merit_stops_at_the_best_iterate(self):
         # at 1e-8 this bounded solve floors just above the tolerance; once the
         # merit has not improved for STALL_ITERS iterations the solve ends
@@ -988,3 +1006,50 @@ class TestStatusHandling:
         sol = conic.solve(build_c1(fr), TIGHT)
         assert np.linalg.eigvalsh(sol.X).min() > 0
         assert (sol.slacks > 0).all()
+
+
+class TestReportedMeasurement:
+    """The gap and primal infeasibility a solution reports are those of the
+    point it returns, recomputed here from the problem's fields."""
+
+    CASES = {
+        "c1": (lambda: build_c1(frames.random_gaussian_frame(4, 9, 13)), TIGHT),
+        # its best iterate is not its last
+        "stalled-c2": (lambda: build_c2(frames.random_gaussian_frame(12, 32, 3), 2.0, 0.5), TIGHT),
+        "pinned": (lambda: build_c2(frames.random_gaussian_frame(6, 16, 0), 2.0, 1.0), TIGHT),
+        "diagonal-lp": (lambda: build_diagonal_lp(frames.random_gaussian_frame(6, 16, 0)), TIGHT),
+        "max-iter": (lambda: build_c1(frames.random_gaussian_frame(4, 10, 17)), conic.SolverSettings(max_iter=2)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_gap_and_primal_infeasibility(self, case):
+        make, settings = self.CASES[case]
+        prob = make()
+        sol = conic.solve(prob, settings)
+        if case == "stalled-c2":
+            assert sol.gap != sol.gap_history[-1]
+        info = sol.bound_info
+        x_lin = np.concatenate([[sol.q], sol.slacks, sol.extras])
+        gap = x_lin @ np.concatenate([[sol.q_dual], sol.slack_duals, sol.extra_duals])
+        if prob.psd_dim:
+            gap += np.vdot(sol.X, sol.dual_psd)
+        if "upper_slack" in info:
+            gap += np.vdot(info["upper_slack"], info["upper_dual"]) + np.vdot(info["lower_slack"], info["lower_dual"])
+        # the row values in the solver's order of summation, so that the
+        # residuals, far below the terms, come out the same
+        values = prob.row_q * sol.q
+        values[prob.slack_rows] += sol.slacks
+        values += prob.extras @ sol.extras
+        rhs = prob.rhs
+        if prob.psd_dim:
+            gram = prob.atoms @ sol.X @ prob.atoms.T
+            psd = prob.row_alpha * gram[tuple(prob.row_atoms.T)]
+            if "pinned" in info:
+                # the pinned solve measures the linear program left by X = t I
+                rhs = rhs - psd
+            else:
+                values += psd
+        kept = np.delete(np.arange(prob.n_rows), sol.dropped_rows)
+        p_inf = np.abs(rhs - values)[kept].max() / (1.0 + np.abs(rhs[kept]).max())
+        assert gap == pytest.approx(sol.gap, rel=1e-12)
+        assert p_inf == pytest.approx(sol.primal_infeas, rel=1e-12)
