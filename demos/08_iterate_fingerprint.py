@@ -23,8 +23,10 @@ slacks, extras and their duals, the dual objective, the gap history, the
 dropped rows and the ridge count), so that two outputs are byte-identical
 exactly when every solve returned the same solution, field for field.  A
 pinned solve prints once, for its outer call.  The phase diagrams also print the digest of their
-success-rate grid.  One BLAS thread is pinned, as in the benchmark, so
-that the output repeats.
+success-rate grid and, for the batched basis-pursuit kernel, the total
+of the steps its members took and the number of members it handed to the
+conic fallback, so that a change inside the kernel shows too.  One BLAS
+thread is pinned, as in the benchmark, so that the output repeats.
 """
 
 import hashlib
@@ -37,7 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from framecond import conic, experiments, frames, precondition
+from framecond import conic, experiments, frames, precondition, recovery
 from framecond.experiments import FRAME_STREAM, trial_rng
 
 SETTINGS = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
@@ -96,6 +98,21 @@ class Recorder:
         return sol
 
 
+class KernelTally:
+    """Stands in for ``recovery._kernel_lp`` and sums its members' steps and
+    the members it leaves unconverged (those go to the conic fallback)."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+        self.steps = self.fallbacks = 0
+
+    def __call__(self, *args):
+        x, iterations, converged = self.kernel(*args)
+        self.steps += int(iterations.sum())
+        self.fallbacks += int((~converged).sum())
+        return x, iterations, converged
+
+
 def run_workloads(seed, rec):
     rec.workload = "frame_pipeline"
     for m in (12, 18, 24, 30):
@@ -115,8 +132,13 @@ def run_workloads(seed, rec):
     rec.workload = "phase_recovery"
     for pipeline, decoder in (("phi", "bp"), ("gphi", "bp"), ("g1phi", "omp")):
         rec.item = f"{pipeline}-{decoder}/M16"
-        diagram = experiments.phase_diagram(16, range(2, 16), 10, seed, pipeline=pipeline, decoder=decoder)
+        tally = recovery._kernel_lp = KernelTally(recovery._kernel_lp)
+        try:
+            diagram = experiments.phase_diagram(16, range(2, 16), 10, seed, pipeline=pipeline, decoder=decoder)
+        finally:
+            recovery._kernel_lp = tally.kernel
         print(rec.workload, rec.item, "grid", digest(diagram.success_rate))
+        print(rec.workload, rec.item, "kernel", "member-steps", tally.steps, "fallbacks", tally.fallbacks)
 
 
 def main(seed):

@@ -17,6 +17,7 @@ reads as feasible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -374,7 +375,10 @@ def _versions() -> dict:
     return {"framecond": __version__, "numpy": np.__version__}
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, as every call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="framecond",
         description="frame preconditioning for coherence reduction and sparse recovery",

@@ -48,8 +48,9 @@ The dense linear algebra is numpy's alone.  Cholesky factors are kept in
 factorization and its triangular solves are matrix products, and the
 inverse of an ill-conditioned diagonal block is refined once wherever it is
 applied.  The PSD blocks, their dual slacks and directions are each one
-``(b, m, m)`` stack; the Cholesky factors of the X and S stacks are inverted
-once per iteration and serve the step lengths, ``S^-1`` and the HKM factor.
+``(b, m, m)`` stack; the X and S stacks are factored and their Cholesky
+factors inverted in one call per iteration, which serves the step lengths,
+``S^-1`` and the HKM factor.
 
 Two-sided eigenvalue bounds add the PSD blocks ``W1 = t1 I - X`` and
 ``W2 = X - t2 I``, each with its own dual slack matrix.  They are affine in
@@ -262,10 +263,24 @@ def _psd_max_step(chol_inv, delta):
 
 
 def _lin_max_step(x, dx):
+    """Largest t with x + t*dx >= 0, over the last axis (one per row of a
+    batch); inf where no component decreases."""
     neg = dx < 0
-    if not neg.any():
-        return np.inf
-    return float(np.min(-x[neg] / dx[neg]))
+    ratio = np.divide(-x, dx, out=np.full(neg.shape, np.inf), where=neg)
+    return ratio.min(axis=-1, initial=np.inf)
+
+
+def _merit(gap, pobj, dobj, p_inf, d_inf, settings):
+    """``(rel_gap, merit, basic_ok)`` of a measured point, or of each member
+    of a batch: the relative gap, the merit (the largest of relative gap,
+    objective difference and scaled residuals) and whether the gap and
+    objective difference are within ``gap_tol`` and the residuals within
+    ``feas_tol``, the ``Optimal`` test short of the stationarity polish."""
+    scale = 1.0 + np.abs(pobj)
+    rel_gap = gap / scale
+    gap_err = np.maximum(rel_gap, np.abs(pobj - dobj) / scale)
+    feas_err = np.maximum(p_inf, d_inf)
+    return rel_gap, np.maximum(gap_err, feas_err), (gap_err <= settings.gap_tol) & (feas_err <= settings.feas_tol)
 
 
 # --------------------------------------------------------------------------
@@ -1005,17 +1020,14 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
     # the loop ends right after measuring the point it holds
     for iters in range(max(settings.max_iter, 0) + 1):
         residuals, measured = _measure(lay, x_psd, x_lin, y, s_psd, s_lin)
-        gap, pobj, dobj, p_inf, d_inf = measured
-        rel_gap = gap / (1.0 + abs(pobj))
+        gap, pobj = measured[:2]
+        rel_gap, merit, basic_ok = _merit(*measured, settings)
         gap_history.append(gap)
-        obj_gap = abs(pobj - dobj) / (1.0 + abs(pobj))
-        merit = max(rel_gap, p_inf, d_inf, obj_gap)
         # the stationarity products |X_b S_b|_F can sit well above the trace
         # gap when the optimal X is nearly singular; polishing until they
         # pass keeps every Optimal solve inside the KKT residual contract
         xs = x_psd @ s_psd
         psd_prod = max(map(np.linalg.norm, xs), default=0.0) / (1.0 + abs(pobj))
-        basic_ok = max(rel_gap, obj_gap) <= settings.gap_tol and max(p_inf, d_inf) <= settings.feas_tol
         if merit < best_merit:
             # every update below binds new arrays and writes into none, so
             # the best iterate is kept by reference
@@ -1034,8 +1046,10 @@ def _ipm(lay: _Layout, settings: SolverSettings) -> ConicSolution:
             # a linear program's stacks are empty: skip the calls that factor them
             x_inv = s_fac = None
             if lay.matrix_mode:
-                x_inv = _chol_inv(_sym(x_psd))[1]
-                s_fac = _chol_inv(_sym(s_psd))
+                # both stacks are exactly symmetric: one factorization serves them
+                lower, inv = _chol_inv(np.concatenate([x_psd, s_psd]))
+                b = len(x_psd)
+                x_inv, s_fac = inv[:b], (lower[b:], inv[b:])
             newton = _Newton(lay, x_psd, x_lin, s_lin, s_fac, residuals)
         except np.linalg.LinAlgError:
             status = SolverStatus.NUMERICAL_FAILURE

@@ -15,10 +15,15 @@ program in the split variables x = u - v.  A batch is solved by one
 vectorised Mehrotra predictor-corrector over the standard-form LPs: the
 members' m x m normal matrices are stacked and factored together, and each
 member retires once it converges (the batched primal-dual scheme of OptNet,
-Amos & Kolter 2017).  Members the batch cannot finish are re-solved one at a
-time by the shared conic interior-point solver.  Premultiplying the system
-by a nonsingular matrix leaves the basis-pursuit solution unchanged but can
-move the coherence-based recovery guarantee.
+Amos & Kolter 2017).  The batch runs the rules of the shared conic
+interior-point solver, from its code: the ``Optimal`` test and merit
+(``conic._merit``), the orthant step length (``conic._lin_max_step``) with
+SDPT3's fraction of it per side, the cap on sigma, the stall stop, and the
+stacked Cholesky factor and inverse (``conic._chol_inv``).  Members the
+batch cannot finish are re-solved one at a time by that solver.
+
+Premultiplying the system by a nonsingular matrix leaves the basis-pursuit
+solution unchanged but can move the coherence-based recovery guarantee.
 """
 
 from __future__ import annotations
@@ -48,8 +53,6 @@ OMP_SPAN_TOL = 1e-12
 # entry: basis pursuit is primal degenerate below full sparsity, so some
 # normal matrices turn numerically singular near the optimum
 RIDGE = 1e-13
-# fraction of the distance to the orthant boundary that a step may cover
-STEP_FRACTION = 0.98
 
 
 class Infeasible(ValueError):
@@ -195,26 +198,21 @@ def _batch_matvec(mats, vecs):
     return np.einsum("kij,kj->ki", mats, vecs)
 
 
-def _lower_inverse(lower):
-    """Inverses of a stack of lower-triangular matrices, one forward
-    substitution row at a time over the whole stack."""
-    inv = np.zeros_like(lower)
-    for i in range(lower.shape[-1]):
-        row = -(lower[:, i : i + 1, :i] @ inv[:, :i, :])[:, 0]
-        row[:, i] += 1.0
-        inv[:, i] = row / lower[:, i, i, None]
-    return inv
-
-
 def _kernel_lp(a, c, b, settings: conic.SolverSettings):
     """Mehrotra predictor-corrector over the batch of standard-form LPs
     ``min c^T x  s.t.  a x = b_i, x >= 0``; ``a`` (full row rank) and ``c``
     are shared, ``b`` is (B, m).
 
-    A member stops once it passes :func:`conic.solve`'s ``Optimal`` test:
-    relative gap and objective difference within ``gap_tol``, scaled primal
-    and dual residuals within ``feas_tol``.  Returns ``(x, iterations,
-    converged)``.  ``converged`` is False for a member still open after
+    The kernel runs :func:`conic.solve`'s rules on every member at once: a
+    member stops once it passes the ``Optimal`` test of ``conic._merit``
+    (relative gap and objective difference within ``gap_tol``, scaled
+    primal and dual residuals within ``feas_tol``); step lengths to the
+    orthant boundary come from ``conic._lin_max_step``, of which each side
+    takes SDPT3's fraction ``0.9 + 0.09 min(1, a_p, a_d)`` (a_p, a_d: the
+    predictor's steps), capped at 1; sigma is capped at 0.99999; and the
+    normal matrices are factored and inverted by ``conic._chol_inv``.
+    Returns ``(x, iterations, converged)``, ``iterations`` being the steps
+    each member took.  ``converged`` is False for a member still open after
     ``max_iter`` steps, one whose merit stalled for ``conic.STALL_ITERS``
     steps (the stop of :func:`conic.solve`) or whose step collapsed, and one
     whose normal matrix was not positive definite or whose iterate left the
@@ -246,30 +244,18 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
     best = np.full(bsz, np.inf)
     stalled = np.zeros(bsz, dtype=int)
 
-    def max_step(v, dv):
-        """Per member, the step to the orthant boundary, capped where the
-        fraction-to-boundary rule no longer binds."""
-        ratio = np.where(dv < 0, -v / np.where(dv < 0, dv, -1.0), np.inf)
-        return np.minimum(ratio.min(axis=1), 1.0 / STEP_FRACTION)
-
     for it in range(settings.max_iter + 1):
         bb = b[active]
         rp = bb - x @ a.T
         rd = c - y @ a - s
-        pobj = x @ c
         gap = np.einsum("ij,ij->i", x, s)
-        scale = 1.0 + np.abs(pobj)
-        rel_gap = gap / scale
-        obj_diff = np.abs(pobj - np.einsum("ij,ij->i", bb, y)) / scale
         p_inf = np.abs(rp).max(axis=1) / (1.0 + np.abs(bb).max(axis=1))
         d_inf = np.abs(rd).max(axis=1) / 2.0
-        done = ((rel_gap <= settings.gap_tol) & (obj_diff <= settings.gap_tol)
-                & (p_inf <= settings.feas_tol) & (d_inf <= settings.feas_tol))
+        _, merit, done = conic._merit(gap, x @ c, np.einsum("ij,ij->i", bb, y), p_inf, d_inf, settings)
         finished = active[done]
-        x_out[finished], iters_out[finished], converged[finished] = x[done], it, True
+        x_out[finished], converged[finished] = x[done], True
         # a member whose merit stops improving has reached the accuracy
         # floor of its normal equations; more steps only drift
-        merit = np.maximum.reduce([rel_gap, obj_diff, p_inf, d_inf])
         improved = merit < best[active]
         best[active] = np.where(improved, merit, best[active])
         stalled[active] = np.where(improved, 0, stalled[active] + 1)
@@ -282,8 +268,12 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
         normal = (d @ kr).reshape(-1, m, m)
         ridged = normal.copy()
         ridged[:, diag, diag] += RIDGE * normal[:, diag, diag].max(axis=1, keepdims=True)
+        # N^-1 r = L^-T L^-1 r: the triangular inverse keeps the accuracy of
+        # a Cholesky solve and serves both right-hand sides.  One refinement
+        # step against the unridged N removes the ridge's bias, which would
+        # otherwise floor the primal residual above a 1e-9 tolerance.
         try:
-            chol = np.linalg.cholesky(ridged)
+            l_inv = conic._chol_inv(ridged)[1]
         except np.linalg.LinAlgError:
             # one singular member must not stop the batch: it leaves unconverged
             ok = np.array([_is_pd(n_k) for n_k in ridged])
@@ -291,12 +281,7 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
                 v[ok] for v in (active, x, y, s, rp, rd, gap, d, normal))
             if not len(active):
                 break
-            chol = np.linalg.cholesky(ridged[ok])
-        # N^-1 r = L^-T L^-1 r: the triangular inverse keeps the accuracy of
-        # a Cholesky solve and serves both right-hand sides.  One refinement
-        # step against the unridged N removes the ridge's bias, which would
-        # otherwise floor the primal residual above a 1e-9 tolerance.
-        l_inv = _lower_inverse(chol)
+            l_inv = conic._chol_inv(ridged[ok])[1]
 
         def solve(r):
             z = _batch_matvec(l_inv.transpose(0, 2, 1), _batch_matvec(l_inv, r))
@@ -311,16 +296,19 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
         # predictor, then the corrector with Mehrotra's centring sigma
         mu = gap / n
         dx_a, dy_a, ds_a = newton(-x * s)
-        ap = np.minimum(max_step(x, dx_a), 1.0)[:, None]
-        ad = np.minimum(max_step(s, ds_a), 1.0)[:, None]
+        bp_a, bd_a = conic._lin_max_step(x, dx_a), conic._lin_max_step(s, ds_a)
+        ap, ad = np.minimum(bp_a, 1.0)[:, None], np.minimum(bd_a, 1.0)[:, None]
         mu_aff = np.einsum("ij,ij->i", x + ap * dx_a, s + ad * ds_a) / n
-        sigma = np.clip(mu_aff / mu, 0.0, 1.0) ** 3
+        sigma = np.clip((mu_aff / mu) ** 3, 0.0, 0.99999)
         dx, dy, ds = newton((sigma * mu)[:, None] - x * s - dx_a * ds_a)
-        ap = np.minimum(STEP_FRACTION * max_step(x, dx), 1.0)
-        ad = np.minimum(STEP_FRACTION * max_step(s, ds), 1.0)
+        # SDPT3's step length per side, as in conic.solve
+        gamma = 0.9 + 0.09 * np.minimum(np.minimum(bp_a, bd_a), 1.0)
+        ap = np.minimum(gamma * conic._lin_max_step(x, dx), 1.0)
+        ad = np.minimum(gamma * conic._lin_max_step(s, ds), 1.0)
         x = x + ap[:, None] * dx
         y = y + ad[:, None] * dy
         s = s + ad[:, None] * ds
+        iters_out[active] += 1
         moving = np.minimum(ap, ad) >= 1e-10
         active, x, y, s = (v[moving] for v in (active, x, y, s))
         if not len(active):

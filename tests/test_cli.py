@@ -37,6 +37,20 @@ class TestMatrixFile:
         with pytest.raises(cli.ParseError, match="missing header"):
             cli.read_matrix(path)
 
+    @pytest.mark.parametrize("text, where", [
+        ("2\n1 2\n3 4\n", ":1: header must be 'rows cols'"),
+        ("2 x\n1 2\n3 4\n", ":1: header must be 'rows cols'"),
+        ("2 2\n1 2\n3 four\n", ":3: non-numeric entry"),
+        ("2 2\n1 2\nnan 4\n", ": non-finite entry"),
+        ("2 2\n1 inf\n3 4\n", ": non-finite entry"),
+    ], ids=["short-header", "bad-header", "non-numeric", "nan", "inf"])
+    def test_malformed_contents(self, tmp_path, text, where):
+        path = tmp_path / "bad.mat"
+        path.write_text(text)
+        with pytest.raises(cli.ParseError) as exc:
+            cli.read_matrix(path)
+        assert str(exc.value) == f"{path}{where}"
+
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "short.mat"
         path.write_text("3 2\n1 2\n3 4\n")

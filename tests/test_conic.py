@@ -465,6 +465,43 @@ class TestStackedHelpers:
         assert conic._psd_max_step(inv, stack) == np.inf
 
 
+class TestSharedRules:
+    """The step length and the stopping test that conic.solve and the batched
+    basis-pursuit kernel share, on a batch against one call per member."""
+
+    def test_lin_max_step_batch_matches_rows(self):
+        rng = np.random.default_rng(7)
+        x = rng.uniform(0.1, 2.0, (6, 9))
+        dx = rng.standard_normal((6, 9))
+        dx[2] = np.abs(dx[2])          # no component decreases
+        dx[4, :] = 0.0
+        dx[4, 3] = -0.5                # one decreasing component
+        steps = conic._lin_max_step(x, dx)
+        assert steps.shape == (6,)
+        assert np.array_equal(steps, [conic._lin_max_step(x[b], dx[b]) for b in range(6)])
+        assert steps[2] == conic._lin_max_step(x[2], dx[2]) == np.inf
+        assert steps[4] == x[4, 3] / 0.5
+        finite = np.isfinite(steps)
+        assert (x[finite] + steps[finite, None] * dx[finite] >= -1e-15).all()
+        assert (np.min(x[finite] + steps[finite, None] * dx[finite], axis=1) <= 1e-15).all()
+
+    def test_merit_on_arrays_matches_scalar_calls(self):
+        settings = conic.SolverSettings(gap_tol=1e-7, feas_tol=1e-8)
+        rng = np.random.default_rng(8)
+        gap = 10.0 ** rng.uniform(-12, 0, 40)
+        pobj = rng.standard_normal(40) * 10.0 ** rng.uniform(-2, 2, 40)
+        dobj = pobj - 10.0 ** rng.uniform(-12, -4, 40) * rng.choice([-1, 1], 40)
+        p_inf, d_inf = 10.0 ** rng.uniform(-11, -6, (2, 40))
+        rel_gap, merit, basic_ok = conic._merit(gap, pobj, dobj, p_inf, d_inf, settings)
+        assert basic_ok.any() and not basic_ok.all()
+        for i in range(40):
+            one = conic._merit(float(gap[i]), float(pobj[i]), float(dobj[i]), float(p_inf[i]),
+                               float(d_inf[i]), settings)
+            assert (rel_gap[i], merit[i], basic_ok[i]) == one
+            scale = 1.0 + abs(pobj[i])
+            assert one[1] == max(gap[i] / scale, abs(pobj[i] - dobj[i]) / scale, p_inf[i], d_inf[i])
+
+
 class TestKKTModes:
     @staticmethod
     def check_solve(kkt, op, n):
@@ -972,6 +1009,27 @@ class TestBalancedStart:
         assert shipped <= 0.85 * old, (shipped, old)
 
 
+class TestBoxMidpointStart:
+    # I lies within 1e-3 (t1 - t2) of the upper bound 1.0005, so the solve
+    # starts from X = (t1 + t2) / 2 I
+    BOUNDS = (1.0005, 0.5)
+
+    @pytest.mark.parametrize("make_frame", [
+        lambda: seeded_frame(12),
+        lambda: frames.random_gaussian_frame(8, 16, 3),
+        lambda: frames.random_gaussian_frame(5, 12, 9),
+    ], ids=["12x64", "8x16", "5x12"])
+    def test_starts_at_the_midpoint_and_ends_in_the_box(self, make_frame):
+        fr = make_frame()
+        t1, t2 = self.BOUNDS
+        x_psd, _ = conic._primal_start(conic._Layout(build_c2(fr, t1, t2)))
+        np.testing.assert_array_equal(x_psd[0], 0.5 * (t1 + t2) * np.eye(len(fr.matrix)))
+        res = solve_coherence(fr, bounds=self.BOUNDS)
+        assert res.solution.status == conic.SolverStatus.OPTIMAL
+        eig = np.linalg.eigvalsh(res.X)
+        assert t2 - 1e-12 <= eig[0] and eig[-1] <= t1 + 1e-12
+
+
 class TestStatusHandling:
     def test_max_iter_flagged(self):
         fr = frames.random_gaussian_frame(4, 10, 17)
@@ -1000,6 +1058,24 @@ class TestStatusHandling:
         assert sol.gap == sol.gap_history[sol.iterations - conic.STALL_ITERS]
         assert sol.gap < sol.gap_history[-1]
         assert sol.rel_gap <= 5 * TIGHT.gap_tol
+
+    def test_linalg_error_ends_numerical_failure(self, monkeypatch):
+        # a Newton system that cannot be factored on the third iteration ends
+        # the loop there, with the best-merit iterate of the first three
+        newton, calls = conic._Newton, []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("injected")
+            return newton(*args)
+
+        monkeypatch.setattr(conic, "_Newton", failing)
+        sol = conic.solve(build_c1(frames.random_gaussian_frame(4, 10, 17)), TIGHT)
+        assert sol.status == conic.SolverStatus.NUMERICAL_FAILURE
+        assert sol.iterations == 2 and len(sol.gap_history) == 3
+        assert sol.gap == min(sol.gap_history)
+        assert np.linalg.eigvalsh(sol.X).min() > 0
 
     def test_iterates_strictly_interior_on_return(self):
         fr = frames.random_gaussian_frame(3, 8, 19)

@@ -323,6 +323,39 @@ class TestBatchedBasisPursuit:
             assert got.status == want.status == conic.SolverStatus.OPTIMAL
             assert np.abs(got.estimate - want.estimate).max() <= 1e-6
 
+    def test_failed_fallback_member_is_flagged_others_intact(self, monkeypatch):
+        # the first member's normal matrix is made to fail, as in the test
+        # above, and its conic re-solve then fails too: in a batch it gets a
+        # NaN estimate and status NumericalFailure, and alone it raises
+        fr = frames.random_gaussian_frame(6, 12, 27)
+        xs = _signals(12, 3, 2, 28)
+        ys = xs @ fr.matrix.T
+        expected = recovery.basis_pursuit(fr.matrix, ys)
+        cholesky = np.linalg.cholesky
+        injected = {}
+
+        def flaky(mat):
+            if mat.ndim == 3 and "victim" not in injected:
+                injected["victim"] = mat[0].copy()
+            if np.array_equal(mat if mat.ndim == 2 else mat[0], injected.get("victim")):
+                raise np.linalg.LinAlgError("injected")
+            return cholesky(mat)
+
+        def no_newton(*args):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(np.linalg, "cholesky", flaky)
+        monkeypatch.setattr(conic, "_Newton", no_newton)
+        batch = recovery.basis_pursuit(fr.matrix, ys)
+        assert batch[0].status == conic.SolverStatus.NUMERICAL_FAILURE
+        assert np.isnan(batch[0].estimate).all()
+        for want, got in zip(expected[1:], batch[1:]):
+            assert got.status == want.status == conic.SolverStatus.OPTIMAL
+            assert np.abs(got.estimate - want.estimate).max() <= 1e-6
+        injected.clear()
+        with pytest.raises(RuntimeError, match="failed numerically"):
+            recovery.basis_pursuit(fr.matrix, ys[0])
+
     def test_unconverged_members_are_resolved_alone(self, monkeypatch):
         fr = frames.random_gaussian_frame(6, 12, 25)
         xs = _signals(12, 3, 2, 26)
@@ -371,7 +404,8 @@ class TestBatchedBasisPursuit:
 class TestLowerInverse:
     @pytest.mark.parametrize("cond", [1e1, 1e6, 1e12])
     def test_small_residual_and_matches_lapack(self, cond):
-        # a stack of Cholesky factors of normal matrices; each column of the
+        # a stack of Cholesky factors of normal matrices, as the basis-pursuit
+        # kernel inverts them through conic._chol_inv; each column of the
         # inverse is a forward substitution, so L X - I is small relative to
         # |L| |X|, and X agrees with LAPACK's inverse to within cond(L) eps
         rng = np.random.default_rng(5)
@@ -379,7 +413,7 @@ class TestLowerInverse:
         q, _ = np.linalg.qr(rng.standard_normal((m, m)))
         spectra = np.geomspace(1.0, 1.0 / cond, m) * rng.uniform(0.5, 2.0, (40, 1))
         lower = np.linalg.cholesky((q * spectra[:, None, :]) @ q.T)
-        inv = recovery._lower_inverse(lower)
+        inv = conic._tri_inv(lower)
         assert (np.triu(inv, 1) == 0.0).all()
         eps = np.finfo(float).eps
         bound = np.abs(lower) @ np.abs(inv)
