@@ -355,12 +355,24 @@ def _cmd_table(args) -> int:
         m_list, args.M, args.trials, args.seed, variant=args.pipeline,
         settings=_settings(args),
     )
-    data = [(r.m, r.mean_mu_phi, r.mean_mu_precond, r.welch_bound) for r in rows]
-    _write_csv(args.out, ["m", "mean_mu_phi", "mean_mu_precond", "welch_bound"], data)
-    _write_gnuplot(args.out + ".gp", args.out, "average coherence", "m", "coherence",
+    data = [(r.m, r.mean_mu_phi, r.mean_mu_precond, r.welch_bound, r.failed_solves) for r in rows]
+    _write_csv(args.out, ["m", "mean_mu_phi", "mean_mu_precond", "welch_bound", "failed_solves"], data)
+    gp = args.out + ".gp"
+    _write_gnuplot(gp, args.out, "average coherence", "m", "coherence",
                    ["using 1:2 with linespoints", "using 1:3 with linespoints",
-                "using 1:4 with linespoints"])
+                    "using 1:4 with linespoints"])
     print(f"wrote {args.out} ({len(rows)} rows)")
+    if args.report:
+        _write_cli_report(
+            args,
+            {"M": args.M, "m_list": m_list, "trials": args.trials, "pipeline": args.pipeline,
+             "gap_tol": args.gap_tol},
+            None,
+            {"csv_path": args.out, "gnuplot_path": gp,
+             "rows": [{"m": r.m, "mean_mu_phi": r.mean_mu_phi, "mean_mu_precond": r.mean_mu_precond,
+                       "welch_bound": r.welch_bound, "failed_solves": r.failed_solves} for r in rows],
+             "failed_solves": sum(r.failed_solves for r in rows)},
+        )
     return 0
 
 

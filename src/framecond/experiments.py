@@ -39,7 +39,12 @@ _SETTINGS = conic.SolverSettings(gap_tol=1e-6, feas_tol=1e-6)
 
 def trial_rng(seed: int, stream: int, *keys: int) -> np.random.Generator:
     """Deterministic child generator for one cell of an experiment grid."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(stream), *map(int, keys)]))
+    words = [int(seed), int(stream), *map(int, keys)]
+    if 0 <= min(words) and max(words) < 2**32:
+        # one uint32 word per key is what SeedSequence makes of each such
+        # int in a list, and an array skips its per-item coercion
+        words = np.array(words, dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(words))
 
 
 def _seeded_frame(seed: int, m: int, n_vectors: int, trial: int) -> Frame:
@@ -197,7 +202,8 @@ def phase_diagram(
         # single matrix product may round the measurements differently
         ys = np.array([sensing @ x for x in xs])
         recs = _decode_row(decoder, sensing, ys, sparsities, decode_settings)
-        errs = np.array([np.linalg.norm(r.estimate - x) / np.linalg.norm(x) for r, x in zip(recs, xs)])
+        estimates = np.array([r.estimate for r in recs])
+        errs = np.linalg.norm(estimates - xs, axis=1) / np.linalg.norm(xs, axis=1)
         bad = np.array([r.status not in (None, conic.SolverStatus.OPTIMAL) for r in recs])
         rates[row, :m] = (errs <= SUCCESS_TOL).reshape(m, trials).sum(axis=1) / trials
         failed[row, :m] = bad.reshape(m, trials).sum(axis=1)

@@ -18,9 +18,10 @@ member retires once it converges (the batched primal-dual scheme of OptNet,
 Amos & Kolter 2017).  The batch runs the rules of the shared conic
 interior-point solver, from its code: the ``Optimal`` test and merit
 (``conic._merit``), the orthant step length (``conic._lin_max_step``) with
-SDPT3's fraction of it per side, the cap on sigma, the stall stop, and the
-stacked Cholesky factor and inverse (``conic._chol_inv``).  Members the
-batch cannot finish are re-solved one at a time by that solver.
+SDPT3's fraction of it per side, the cap on sigma and the stall stop.  It
+inverts its stacked Cholesky factors itself, by forward substitution one row
+at a time across the whole stack, and does not call ``conic._chol_inv``.
+Members the batch cannot finish are re-solved one at a time by that solver.
 
 Premultiplying the system by a nonsingular matrix leaves the basis-pursuit
 solution unchanged but can move the coherence-based recovery guarantee.
@@ -107,13 +108,17 @@ def _decoder_input(a, y, k_max=None):
 
 def _results(a, ys, xs, iterations, method, statuses=None) -> list[RecoveryResult]:
     """One result per row of ``xs``: residuals from one matrix product,
-    supports from one threshold."""
+    supports from one threshold and one ``np.nonzero``."""
     residuals = np.linalg.norm(xs @ a.T - ys, axis=1)
     on_support = np.abs(xs) > SUPPORT_TOL
+    # nonzero walks the rows in order, so each row's columns are one run
+    cols = np.nonzero(on_support)[1].tolist()
+    ends = np.cumsum(on_support.sum(axis=1)).tolist()
+    supports = [tuple(cols[lo:hi]) for lo, hi in zip([0, *ends], ends)]
     if statuses is None:
         statuses = [None] * len(xs)
-    return [RecoveryResult(x, tuple(np.flatnonzero(keep).tolist()), float(res), int(it), method, st)
-            for x, keep, res, it, st in zip(xs, on_support, residuals, iterations, statuses)]
+    return [RecoveryResult(x, supp, res, it, method, st)
+            for x, supp, res, it, st in zip(xs, supports, residuals.tolist(), iterations.tolist(), statuses)]
 
 
 def omp(a, y, k_max) -> RecoveryResult | list[RecoveryResult]:
@@ -198,6 +203,24 @@ def _batch_matvec(mats, vecs):
     return np.einsum("kij,kj->ki", mats, vecs)
 
 
+def _lower_inverse(lower):
+    """Inverses of a stack of nonsingular lower triangles, by forward
+    substitution one row at a time over the whole stack; each result is
+    exactly lower triangular.
+
+    This second triangular inverse beside ``conic._tri_inv`` is kept on
+    purpose: the basis-pursuit kernel's stacks of 80-150 members at
+    m = 8-15 cost 1.3-2.2x as much through LAPACK's per-matrix inverse, while
+    ``conic``'s stacks of two or six blocks are cheaper there, and any
+    other inverse would change that solver's iterates."""
+    inv = np.zeros_like(lower)
+    for i in range(lower.shape[-1]):
+        row = -(lower[:, i : i + 1, :i] @ inv[:, :i, :])[:, 0]
+        row[:, i] += 1.0
+        inv[:, i] = row / lower[:, i, i, None]
+    return inv
+
+
 def _kernel_lp(a, c, b, settings: conic.SolverSettings):
     """Mehrotra predictor-corrector over the batch of standard-form LPs
     ``min c^T x  s.t.  a x = b_i, x >= 0``; ``a`` (full row rank) and ``c``
@@ -209,8 +232,9 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
     primal and dual residuals within ``feas_tol``); step lengths to the
     orthant boundary come from ``conic._lin_max_step``, of which each side
     takes SDPT3's fraction ``0.9 + 0.09 min(1, a_p, a_d)`` (a_p, a_d: the
-    predictor's steps), capped at 1; sigma is capped at 0.99999; and the
-    normal matrices are factored and inverted by ``conic._chol_inv``.
+    predictor's steps), capped at 1; and sigma is capped at 0.99999.  The
+    normal matrices are factored by ``np.linalg.cholesky`` and the factors
+    inverted by :func:`_lower_inverse`, not by ``conic._chol_inv``.
     Returns ``(x, iterations, converged)``, ``iterations`` being the steps
     each member took.  ``converged`` is False for a member still open after
     ``max_iter`` steps, one whose merit stalled for ``conic.STALL_ITERS``
@@ -273,7 +297,7 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
         # step against the unridged N removes the ridge's bias, which would
         # otherwise floor the primal residual above a 1e-9 tolerance.
         try:
-            l_inv = conic._chol_inv(ridged)[1]
+            l_inv = _lower_inverse(np.linalg.cholesky(ridged))
         except np.linalg.LinAlgError:
             # one singular member must not stop the batch: it leaves unconverged
             ok = np.array([_is_pd(n_k) for n_k in ridged])
@@ -281,7 +305,7 @@ def _kernel_lp(a, c, b, settings: conic.SolverSettings):
                 v[ok] for v in (active, x, y, s, rp, rd, gap, d, normal))
             if not len(active):
                 break
-            l_inv = conic._chol_inv(ridged[ok])[1]
+            l_inv = _lower_inverse(np.linalg.cholesky(ridged[ok]))
 
         def solve(r):
             z = _batch_matvec(l_inv.transpose(0, 2, 1), _batch_matvec(l_inv, r))

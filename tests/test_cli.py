@@ -173,8 +173,20 @@ class TestSubcommands:
         assert run("table", "--M", "10", "--m-list", "3,4", "--trials", "2",
                    "--seed", "2", "--out", str(csv)) == 0
         lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "m,mean_mu_phi,mean_mu_precond,welch_bound"
+        assert lines[0] == "m,mean_mu_phi,mean_mu_precond,welch_bound,failed_solves"
         assert len(lines) == 3
+
+    def test_table_counts_failed_solves(self, tmp_path):
+        # one interior-point iteration finishes no preconditioner solve
+        csv, report = tmp_path / "table.csv", tmp_path / "table.json"
+        assert run("table", "--M", "10", "--m-list", "3,4", "--trials", "2", "--max-iter", "1",
+                   "--out", str(csv), "--report", str(report)) == 0
+        assert [line.split(",")[-1] for line in csv.read_text().splitlines()[1:]] == ["2", "2"]
+        doc = json.loads(report.read_text())
+        assert [row["m"] for row in doc["result"]["rows"]] == [3, 4]
+        assert [row["failed_solves"] for row in doc["result"]["rows"]] == [2, 2]
+        assert doc["result"]["failed_solves"] == 4
+        assert doc["config"]["m_list"] == [3, 4]
 
 
 class TestExitCodes:
@@ -248,7 +260,8 @@ class TestExitCodes:
 class TestReportEnvelope:
     @pytest.mark.parametrize(
         "command",
-        ["gen", "analyze", "precondition", "diag-lp", "tighten", "certify", "recover", "phase", "sweep"],
+        ["gen", "analyze", "precondition", "diag-lp", "tighten", "certify", "recover", "phase", "sweep",
+         "table"],
     )
     def test_every_report_shares_the_envelope(self, tmp_path, command, capsys):
         phi, dh, sig = tmp_path / "phi.mat", tmp_path / "dh.mat", tmp_path / "y.mat"
@@ -268,6 +281,7 @@ class TestReportEnvelope:
             "recover": [str(dh), str(sig)],
             "phase": ["--M", "6", "--m-min", "3", "--m-max", "3", "--trials", "2", "--out", out],
             "sweep": [str(phi), "--t2", "0.5", "--t1-max", "1.5", "--out", out],
+            "table": ["--M", "9", "--m-list", "3,4", "--trials", "2", "--out", out],
         }[command]
         assert run(command, *argv, "--report", str(report)) == 0
         doc = json.loads(report.read_text())

@@ -19,6 +19,24 @@ class TestSeedScheme:
         b = experiments.trial_rng(7, experiments.SIGNAL_STREAM, 4, 2, 9).standard_normal(5)
         assert (a != b).any()
 
+    @pytest.mark.parametrize("seed, keys", [
+        (0, (0, 0, 0)),
+        (3, (2**32 - 1, np.int64(5), 1)),
+        (3, (2**32, 5, 1)),
+        (2**40, (4, 2, 9)),
+    ])
+    def test_streams_match_the_list_seed_sequence(self, seed, keys):
+        # keys that all fit in 32 bits reach SeedSequence as one uint32
+        # array, the others as a list; both must give the list's streams
+        ref = np.random.SeedSequence([seed, experiments.SIGNAL_STREAM, *map(int, keys)])
+        got = experiments.trial_rng(seed, experiments.SIGNAL_STREAM, *keys)
+        assert (got.bit_generator.seed_seq.pool == ref.pool).all()
+        assert (got.standard_normal(6) == np.random.default_rng(ref).standard_normal(6)).all()
+
+    def test_negative_seed_raises(self):
+        with pytest.raises(ValueError):
+            experiments.trial_rng(-1, experiments.SIGNAL_STREAM, 4, 2, 9)
+
 
 class TestCoherenceTable:
     def test_deterministic(self):
@@ -109,6 +127,36 @@ class TestPhaseDiagram:
                 assert diagram.rate(m, s) == wins / trials, (m, s)
         rates = diagram.success_rate
         assert ((0.0 < rates) & (rates < 1.0)).any()   # the grid is not all hits or misses
+
+    def test_bp_grid_matches_per_signal_decodes(self):
+        # the row-batched decode and array scoring against one basis-pursuit
+        # solve per signal, with the signals drawn as phase_diagram draws them
+        n_vectors, m_grid, trials, seed = 12, [4, 8], 4, 0
+        diagram = experiments.phase_diagram(n_vectors, m_grid, trials, seed, pipeline="phi", decoder="bp")
+        for m in m_grid:
+            frame_seed = experiments.trial_rng(seed, experiments.FRAME_STREAM, m, 0, 0).integers(2**63)
+            a = frames.random_gaussian_frame(m, n_vectors, int(frame_seed)).matrix
+            for s in range(1, m + 1):
+                wins = 0
+                for trial in range(trials):
+                    rng = experiments.trial_rng(seed, experiments.SIGNAL_STREAM, m, s, trial)
+                    support = rng.choice(n_vectors, size=s, replace=False)
+                    x = np.zeros(n_vectors)
+                    x[support] = rng.standard_normal(s)
+                    rec = recovery.basis_pursuit(a, a @ x)
+                    wins += np.linalg.norm(rec.estimate - x) / np.linalg.norm(x) <= experiments.SUCCESS_TOL
+                assert diagram.rate(m, s) == wins / trials, (m, s)
+        rates = diagram.success_rate
+        assert ((0.0 < rates) & (rates < 1.0)).any()   # the grid is not all hits or misses
+
+    def test_bp_grid_invariant_under_preconditioning(self):
+        # premultiplying a x = y by a nonsingular G leaves the basis-pursuit
+        # minimizer unchanged, so both preconditioned pipelines recover
+        # exactly the cells the plain one does
+        grids = {p: experiments.phase_diagram(16, range(2, 16), 10, 0, pipeline=p, decoder="bp").success_rate
+                 for p in ("phi", "gphi", "g1phi")}
+        assert np.array_equal(grids["gphi"], grids["phi"], equal_nan=True)
+        assert np.array_equal(grids["g1phi"], grids["phi"], equal_nan=True)
 
     def test_settings_reach_basis_pursuit(self):
         # one interior-point iteration decodes nothing, so every rate is zero

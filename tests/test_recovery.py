@@ -405,15 +405,15 @@ class TestLowerInverse:
     @pytest.mark.parametrize("cond", [1e1, 1e6, 1e12])
     def test_small_residual_and_matches_lapack(self, cond):
         # a stack of Cholesky factors of normal matrices, as the basis-pursuit
-        # kernel inverts them through conic._chol_inv; each column of the
-        # inverse is a forward substitution, so L X - I is small relative to
-        # |L| |X|, and X agrees with LAPACK's inverse to within cond(L) eps
+        # kernel inverts them; each row of the inverse is a forward
+        # substitution, so L X - I is small relative to |L| |X|, and X agrees
+        # with LAPACK's inverse to within cond(L) eps
         rng = np.random.default_rng(5)
         m = 15
         q, _ = np.linalg.qr(rng.standard_normal((m, m)))
         spectra = np.geomspace(1.0, 1.0 / cond, m) * rng.uniform(0.5, 2.0, (40, 1))
         lower = np.linalg.cholesky((q * spectra[:, None, :]) @ q.T)
-        inv = conic._tri_inv(lower)
+        inv = recovery._lower_inverse(lower)
         assert (np.triu(inv, 1) == 0.0).all()
         eps = np.finfo(float).eps
         bound = np.abs(lower) @ np.abs(inv)
@@ -421,6 +421,27 @@ class TestLowerInverse:
         ref = np.linalg.inv(lower)
         err = np.abs(inv - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
         assert (err <= 10 * m * eps * np.sqrt(cond)).all()
+
+    def test_exactly_lower_triangular(self):
+        # the substitution never writes above the diagonal, whatever the
+        # input holds there
+        rng = np.random.default_rng(6)
+        full = rng.standard_normal((7, 9, 9)) + 4.0 * np.eye(9)
+        inv = recovery._lower_inverse(full)
+        assert (np.triu(inv, 1) == 0.0).all()
+        assert np.array_equal(inv, recovery._lower_inverse(np.tril(full)))
+
+    def test_order_one_stack(self):
+        lower = np.array([2.0, 0.5, 8.0]).reshape(3, 1, 1)
+        assert np.array_equal(recovery._lower_inverse(lower), 1.0 / lower)
+
+    def test_one_member_stack(self):
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((6, 11))
+        lower = np.linalg.cholesky(g @ g.T)[None]
+        inv = recovery._lower_inverse(lower)
+        assert inv.shape == (1, 6, 6)
+        np.testing.assert_allclose(inv[0], np.linalg.inv(lower[0]), rtol=1e-12, atol=1e-14)
 
 
 class TestAgreement:
