@@ -4,12 +4,14 @@ and run the experiment harness, with plain-text matrix files and JSON reports.
 Matrix files are ASCII: a header line ``rows cols`` followed by one line per
 row of space-separated floats printed at 17 significant digits, so values
 round-trip exactly and canonical output is byte-stable.  Reports are JSON
-documents with sorted keys embedding the exact configuration for replay.
+documents with sorted keys whose ``config`` records every parsed option,
+the command name included, so the run can be replayed from it.
 
 Exit codes: 0 success, 1 solver did not reach Optimal (without
-``--allow-inexact``), 2 usage error.  ``certify`` ignores the solver
-options (``--gap-tol``, ``--max-iter``, ``--allow-inexact``): its LP runs
-at the certificate's own fixed tolerances, and a verdict needs an
+``--allow-inexact``), 2 usage error; ``recover --decoder bp`` follows the
+same rule.  ``certify`` ignores the solver options (``--gap-tol``,
+``--max-iter``, ``--allow-inexact``), though its report records them: its
+LP runs at the certificate's own fixed tolerances, and a verdict needs an
 ``Optimal`` solve.  Its own ``--tol`` is the largest violation that still
 reads as feasible.
 """
@@ -17,6 +19,7 @@ reads as feasible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -84,50 +87,41 @@ def write_report(path, report: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _write_table(path, header: list[str], rows, title: str, xlabel: str, ylabel: str,
+                 plots: list[str]) -> str:
+    """Write ``rows`` as CSV to ``path`` and a gnuplot script plotting them
+    to ``path + ".gp"``; return the script's path."""
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(f"{x:.17g}" if isinstance(x, float) else str(x) for x in row) + "\n")
-
-
-def _write_gnuplot(path, csvpath, title: str, xlabel: str, ylabel: str, plots: list[str]) -> None:
-    with open(path, "w") as fh:
+    gp = path + ".gp"
+    with open(gp, "w") as fh:
         fh.write(
             f'set datafile separator ","\nset key autotitle columnhead\n'
             f'set title "{title}"\nset xlabel "{xlabel}"\nset ylabel "{ylabel}"\n'
         )
-        fh.write("plot " + ", ".join(f'"{csvpath}" {p}' for p in plots) + "\n")
+        fh.write("plot " + ", ".join(f'"{path}" {p}' for p in plots) + "\n")
+    return gp
 
 
 def _frame_stats(frame: Frame) -> dict:
-    rep = frame_report(frame)
-    return {
-        "m": frame.m,
-        "M": frame.n_vectors,
-        "coherence": rep.coherence,
-        "coherence_pair": list(rep.coherence_pair),
-        "welch_bound": rep.welch_bound,
-        "frame_potential": rep.frame_potential,
-        "tight_defect": rep.tight_defect,
-        "equiangular": rep.equiangular,
-        "frame_bounds": list(rep.frame_bounds),
-        "unit_norm": rep.unit_norm,
-    }
+    stats = {"m": frame.m, "M": frame.n_vectors, **dataclasses.asdict(frame_report(frame))}
+    return {key: list(val) if isinstance(val, tuple) else val for key, val in stats.items()}
 
 
 def _solver_block(sol: conic.ConicSolution) -> dict:
     return {"status": sol.status, "iterations": sol.iterations, "gap": sol.gap, "rel_gap": sol.rel_gap}
 
 
-def _write_cli_report(args, config: dict, frame_stats, result, solver=None) -> None:
-    """Write the subcommand's JSON report: its configuration for replay
-    (led by the command name), the seed, the frame statistics, the result,
-    the solver block and the library versions."""
+def _write_cli_report(args, frame_stats, result, solver=None) -> None:
+    """Write the subcommand's JSON report: every parsed option for replay
+    (the command name included), the seed, the frame statistics, the
+    result, the solver block and the library versions."""
     write_report(
         args.report,
         {
-            "config": {"command": args.command, **config},
+            "config": {key: val for key, val in vars(args).items() if key != "func"},
             "seed": args.seed,
             "frame_stats": frame_stats,
             "result": result,
@@ -147,9 +141,9 @@ def _load_frame(path) -> Frame:
     return Frame(read_matrix(path))
 
 
-def _check_status(args, sol: conic.ConicSolution) -> int:
-    if sol.status != conic.SolverStatus.OPTIMAL and not args.allow_inexact:
-        print(f"error: solver status {sol.status}", file=sys.stderr)
+def _check_status(args, status: str) -> int:
+    if status != conic.SolverStatus.OPTIMAL and not args.allow_inexact:
+        print(f"error: solver status {status}", file=sys.stderr)
         return 1
     return 0
 
@@ -158,7 +152,7 @@ def _cmd_gen(args) -> int:
     frame = random_gaussian_frame(args.m, args.M, args.seed)
     write_matrix(args.out, frame.matrix)
     if args.report:
-        _write_cli_report(args, {"m": args.m, "M": args.M}, _frame_stats(frame), {"path": args.out})
+        _write_cli_report(args, _frame_stats(frame), {"path": args.out})
     return 0
 
 
@@ -168,18 +162,16 @@ def _cmd_analyze(args) -> int:
     for key, val in stats.items():
         print(f"{key}: {val}")
     if args.report:
-        _write_cli_report(args, {"matrix": args.matrix}, stats, stats)
+        _write_cli_report(args, stats, stats)
     return 0
 
 
-def _precondition_common(args, diagonal: bool) -> int:
+def _cmd_precondition(args) -> int:
+    """``precondition`` over all preconditioners, ``diag-lp`` over diagonal ones."""
     frame = _load_frame(args.matrix)
-    settings = _settings(args)
-    if diagonal:
-        result = precondition.diagonal_lp(frame, settings)
-    else:
-        result = precondition.solve_coherence(frame, settings)
-    code = _check_status(args, result.solution)
+    solve = precondition.diagonal_lp if args.command == "diag-lp" else precondition.solve_coherence
+    result = solve(frame, _settings(args))
+    code = _check_status(args, result.solution.status)
     if code:
         return code
     if args.out:
@@ -187,15 +179,15 @@ def _precondition_common(args, diagonal: bool) -> int:
     print(f"coherence: {result.coherence_before:.6f} -> {result.verified_coherence:.6f} "
           f"(q* = {result.q:.6f}, kappa(G) = {result.condition_number:.4f})")
     if args.report:
+        stats = _frame_stats(frame)
         _write_cli_report(
             args,
-            {"matrix": args.matrix, "gap_tol": args.gap_tol, "max_iter": args.max_iter},
-            _frame_stats(frame),
+            stats,
             {
                 "q": result.q,
                 "coherence_before": result.coherence_before,
                 "coherence_after": result.verified_coherence,
-                "welch_bound": frame_report(frame).welch_bound,
+                "welch_bound": stats["welch_bound"],
                 "kappa": result.condition_number,
                 "jitter": result.jitter,
                 "active_pos_size": len(result.active_pos),
@@ -207,19 +199,10 @@ def _precondition_common(args, diagonal: bool) -> int:
     return 0
 
 
-def _cmd_precondition(args) -> int:
-    return _precondition_common(args, diagonal=False)
-
-
-def _cmd_diag_lp(args) -> int:
-    return _precondition_common(args, diagonal=True)
-
-
 def _cmd_tighten(args) -> int:
     frame = _load_frame(args.matrix)
-    settings = _settings(args)
-    result = precondition.solve_coherence(frame, settings)
-    code = _check_status(args, result.solution)
+    result = precondition.solve_coherence(frame, _settings(args))
+    code = _check_status(args, result.solution.status)
     if code:
         return code
     g1, tight = precondition.compose_tight_preconditioner(result.G, frame)
@@ -233,7 +216,6 @@ def _cmd_tighten(args) -> int:
     if args.report:
         _write_cli_report(
             args,
-            {"matrix": args.matrix, "gap_tol": args.gap_tol},
             _frame_stats(frame),
             {
                 "coherence_before": result.coherence_before,
@@ -261,7 +243,6 @@ def _cmd_certify(args) -> int:
     if args.report:
         _write_cli_report(
             args,
-            {"matrix": args.matrix, "tol": args.tol},
             _frame_stats(frame),
             {
                 "feasible": cert.feasible,
@@ -274,24 +255,27 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    frame = Frame(read_matrix(args.matrix))
+    frame = _load_frame(args.matrix)
     y = read_matrix(args.signal).ravel()
     if args.decoder == "omp":
         result = recovery.omp(frame, y, frame.m if args.k is None else args.k)
     else:
         result = recovery.basis_pursuit(frame.matrix, y, _settings(args))
+        code = _check_status(args, result.status)
+        if code:
+            return code
     if args.out:
         write_matrix(args.out, result.estimate.reshape(-1, 1))
     print(f"{result.method}: support {list(result.support)}, residual {result.residual_norm:.3e}")
     if args.report:
         _write_cli_report(
             args,
-            {"matrix": args.matrix, "signal": args.signal, "decoder": args.decoder, "k": args.k},
             _frame_stats(frame),
             {
                 "support": list(result.support),
                 "residual_norm": result.residual_norm,
                 "iterations": result.iterations,
+                "status": result.status,
                 "estimate_path": args.out,
             },
         )
@@ -309,16 +293,13 @@ def _cmd_phase(args) -> int:
     for i, m in enumerate(diagram.m_grid):
         for s in range(1, m + 1):
             rows.append((m, s, float(diagram.success_rate[i, s - 1])))
-    _write_csv(args.out, ["m", "sparsity", "success_rate"], rows)
-    gp = args.out + ".gp"
-    _write_gnuplot(gp, args.out, f"phase diagram ({args.pipeline}, {args.decoder})",
-                   "m", "sparsity", ["using 1:($3>=0.5?$2:1/0) with points"])
+    gp = _write_table(args.out, ["m", "sparsity", "success_rate"], rows,
+                      f"phase diagram ({args.pipeline}, {args.decoder})", "m", "sparsity",
+                      ["using 1:($3>=0.5?$2:1/0) with points"])
     print(f"wrote {args.out} ({len(rows)} cells); 50% curve: {diagram.curve.tolist()}")
     if args.report:
         _write_cli_report(
             args,
-            {"M": args.M, "m_min": m_lo, "m_max": m_hi, "trials": args.trials,
-             "pipeline": args.pipeline, "decoder": args.decoder, "gap_tol": args.gap_tol},
             None,
             {"csv_path": args.out, "gnuplot_path": gp,
              "m_grid": diagram.m_grid, "curve": diagram.curve.tolist(),
@@ -328,21 +309,20 @@ def _cmd_phase(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if not args.t1_step > 0:
+        raise ValueError(f"--t1-step must be positive, got {args.t1_step}")
     frame = _load_frame(args.matrix)
     grid = list(np.arange(args.t1, args.t1_max + 1e-12, args.t1_step))
     record = experiments.condition_sweep(frame, args.t2, grid, _settings(args))
     rows = list(zip(grid, record.coherence, record.condition_number))
-    _write_csv(args.out, ["t1", "coherence", "kappa"], rows)
-    _write_gnuplot(args.out + ".gp", args.out, "condition sweep", "kappa(G)",
-                   "coherence(G Phi)", ["using 3:2 with linespoints"])
+    gp = _write_table(args.out, ["t1", "coherence", "kappa"], rows, "condition sweep", "kappa(G)",
+                      "coherence(G Phi)", ["using 3:2 with linespoints"])
     print(f"wrote {args.out}; coherence {record.coherence[0]:.4f} -> {record.coherence[-1]:.4f}")
     if args.report:
         _write_cli_report(
             args,
-            {"matrix": args.matrix, "t2": args.t2, "t1": args.t1, "t1_max": args.t1_max,
-             "t1_step": args.t1_step, "gap_tol": args.gap_tol},
             _frame_stats(frame),
-            {"csv_path": args.out, "t1_grid": grid, "coherence": record.coherence,
+            {"csv_path": args.out, "gnuplot_path": gp, "t1_grid": grid, "coherence": record.coherence,
              "condition_number": record.condition_number,
              "failed_solves": sum(st != conic.SolverStatus.OPTIMAL for st in record.statuses)},
         )
@@ -350,23 +330,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    m_list = [int(tok) for tok in args.m_list.split(",")]
     rows = experiments.coherence_table(
-        m_list, args.M, args.trials, args.seed, variant=args.pipeline,
-        settings=_settings(args),
+        [int(tok) for tok in args.m_list.split(",")], args.M, args.trials, args.seed,
+        variant=args.pipeline, settings=_settings(args),
     )
     data = [(r.m, r.mean_mu_phi, r.mean_mu_precond, r.welch_bound, r.failed_solves) for r in rows]
-    _write_csv(args.out, ["m", "mean_mu_phi", "mean_mu_precond", "welch_bound", "failed_solves"], data)
-    gp = args.out + ".gp"
-    _write_gnuplot(gp, args.out, "average coherence", "m", "coherence",
-                   ["using 1:2 with linespoints", "using 1:3 with linespoints",
-                    "using 1:4 with linespoints"])
+    gp = _write_table(args.out, ["m", "mean_mu_phi", "mean_mu_precond", "welch_bound", "failed_solves"], data,
+                      "average coherence", "m", "coherence",
+                      ["using 1:2 with linespoints", "using 1:3 with linespoints",
+                       "using 1:4 with linespoints"])
     print(f"wrote {args.out} ({len(rows)} rows)")
     if args.report:
         _write_cli_report(
             args,
-            {"M": args.M, "m_list": m_list, "trials": args.trials, "pipeline": args.pipeline,
-             "gap_tol": args.gap_tol},
             None,
             {"csv_path": args.out, "gnuplot_path": gp,
              "rows": [{"m": r.m, "mean_mu_phi": r.mean_mu_phi, "mean_mu_precond": r.mean_mu_precond,
@@ -399,8 +375,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", type=str, default=None)
     common.add_argument("--report", type=str, default=None)
-    common.add_argument("--gap-tol", type=float, default=1e-7, dest="gap_tol")
-    common.add_argument("--max-iter", type=int, default=200, dest="max_iter")
+    common.add_argument("--gap-tol", type=float, default=conic.SolverSettings.gap_tol, dest="gap_tol")
+    common.add_argument("--max-iter", type=int, default=conic.SolverSettings.max_iter, dest="max_iter")
     common.add_argument("--allow-inexact", action="store_true", dest="allow_inexact")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -420,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diag-lp", parents=[common], help="minimize coherence over diagonal preconditioners")
     p.add_argument("matrix")
-    p.set_defaults(func=_cmd_diag_lp)
+    p.set_defaults(func=_cmd_precondition)
 
     p = sub.add_parser("tighten", parents=[common], help="project the preconditioned frame to the nearest tight frame")
     p.add_argument("matrix")

@@ -233,6 +233,8 @@ def condition_sweep(
     of upper eigenvalue bounds with the lower bound fixed, with the status of
     each solve."""
     t1_grid = [float(t) for t in t1_grid]
+    if not t1_grid:
+        raise ValueError("t1 grid is empty")
     if any(b - a < -1e-12 for a, b in zip(t1_grid, t1_grid[1:])):
         raise ValueError("t1 grid must be ascending")
     if any(t < t2 for t in t1_grid):

@@ -32,7 +32,6 @@ from .numerics import NotPositiveDefinite, RankDeficient, cholesky, svd
 
 __all__ = [
     "InvalidBounds",
-    "NearSingularXWarning",
     "CertificateNotOptimal",
     "PreconditionResult",
     "CertificateSystem",
@@ -57,10 +56,6 @@ CERTIFICATE_TOL = 1e-7
 
 class InvalidBounds(ValueError):
     """Eigenvalue bounds are inconsistent with a unit-norm frame."""
-
-
-class NearSingularXWarning(RuntimeWarning):
-    """Optimal X sits on the PSD boundary; the factor was jittered."""
 
 
 class CertificateNotOptimal(RuntimeError):
@@ -202,12 +197,6 @@ def build_c2(frame: Frame, t1: float, t2: float) -> conic.ConicProblem:
 def _finish(frame: Frame, sol: conic.ConicSolution, x: np.ndarray) -> PreconditionResult:
     phi = frame.matrix
     g, jitter = extract_preconditioner(x)
-    if jitter > 0.0:
-        warnings.warn(
-            f"optimal X is nearly singular; Cholesky jittered by {jitter:.2e}",
-            NearSingularXWarning,
-            stacklevel=3,
-        )
     mapped = g @ phi
     verified = coherence(Frame(mapped))
     pos, neg = active_sets(frame, x, sol.q)

@@ -186,7 +186,7 @@ class TestSubcommands:
         assert [row["m"] for row in doc["result"]["rows"]] == [3, 4]
         assert [row["failed_solves"] for row in doc["result"]["rows"]] == [2, 2]
         assert doc["result"]["failed_solves"] == 4
-        assert doc["config"]["m_list"] == [3, 4]
+        assert doc["config"]["m_list"] == "3,4"
 
 
 class TestExitCodes:
@@ -246,45 +246,92 @@ class TestExitCodes:
         assert captured.err == "error: certificate LP status MaxIter\n"
         assert captured.out == ""
 
-    def test_report_replay_config(self, tmp_path):
+    def test_recover_bp_solver_failure_is_one(self, tmp_path, capsys):
+        phi, sig = str(tmp_path / "phi.mat"), str(tmp_path / "y.mat")
+        run("gen", "--m", "6", "--M", "12", "--seed", "0", "--out", phi)
+        x = np.zeros(12)
+        x[[2, 7]] = [1.0, -0.5]
+        cli.write_matrix(sig, (cli.read_matrix(phi) @ x).reshape(-1, 1))
+        out, report = tmp_path / "x.mat", tmp_path / "r.json"
+        assert run("recover", phi, sig, "--max-iter", "1", "--out", str(out), "--report", str(report)) == 1
+        assert capsys.readouterr().err == "error: solver status MaxIter\n"
+        assert not out.exists() and not report.exists()
+        assert run("recover", phi, sig, "--max-iter", "1", "--allow-inexact", "--report", str(report)) == 0
+        assert json.loads(report.read_text())["result"]["status"] == "MaxIter"
+
+    @pytest.mark.parametrize("grid", [
+        ["--t1-step", "0"],
+        ["--t1-step", "-0.5"],
+        ["--t1", "3", "--t1-max", "2"],
+    ], ids=["zero-step", "negative-step", "t1-max-below-t1"])
+    def test_sweep_degenerate_grid_is_two(self, tmp_path, grid, capsys):
         phi = tmp_path / "phi.mat"
-        report = tmp_path / "r.json"
-        run("gen", "--m", "3", "--M", "7", "--seed", "9", "--out", str(phi),
-            "--report", str(report))
-        doc = json.loads(report.read_text())
-        assert doc["config"] == {"command": "gen", "m": 3, "M": 7}
-        assert doc["seed"] == 9
-        assert "framecond" in doc["versions"]
+        run("gen", "--m", "4", "--M", "8", "--seed", "5", "--out", str(phi))
+        assert run("sweep", str(phi), *grid, "--out", str(tmp_path / "sweep.csv")) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+REPORT_COMMANDS = ["gen", "analyze", "precondition", "diag-lp", "tighten", "certify", "recover", "phase",
+                   "sweep", "table"]
+
+
+def _report_argv(tmp_path, command):
+    """A small run of ``command`` whose report the envelope tests read."""
+    phi, dh, sig = tmp_path / "phi.mat", tmp_path / "dh.mat", tmp_path / "y.mat"
+    run("gen", "--m", "4", "--M", "9", "--seed", "1", "--out", str(phi))
+    fr = frames.dirac_hadamard_frame(4)
+    cli.write_matrix(dh, fr.matrix)
+    cli.write_matrix(sig, fr.matrix[:, :1])
+    out = str(tmp_path / "out")
+    return [command, *{
+        "gen": ["--m", "3", "--M", "5", "--out", out],
+        "analyze": [str(phi)],
+        "precondition": [str(phi)],
+        "diag-lp": [str(phi)],
+        "tighten": [str(phi)],
+        "certify": [str(phi)],
+        "recover": [str(dh), str(sig)],
+        "phase": ["--M", "6", "--m-min", "3", "--m-max", "3", "--trials", "2", "--out", out],
+        "sweep": [str(phi), "--t2", "0.5", "--t1-max", "1.5", "--out", out],
+        "table": ["--M", "9", "--m-list", "3,4", "--trials", "2", "--out", out],
+    }[command]]
+
+
+def _replay_argv(config: dict) -> list[str]:
+    """The command line a report's ``config`` records: positionals as they
+    are, ``None`` and ``False`` left out, ``True`` as the bare flag."""
+    config = dict(config)
+    argv = [config.pop("command")]
+    argv += [config.pop(dest) for dest in ("matrix", "signal") if dest in config]
+    for dest, val in config.items():
+        flag = "--" + dest.replace("_", "-")
+        if val is True:
+            argv.append(flag)
+        elif val is not None and val is not False:
+            argv += [flag, str(val)]
+    return argv
 
 
 class TestReportEnvelope:
-    @pytest.mark.parametrize(
-        "command",
-        ["gen", "analyze", "precondition", "diag-lp", "tighten", "certify", "recover", "phase", "sweep",
-         "table"],
-    )
+    @pytest.mark.parametrize("command", REPORT_COMMANDS)
     def test_every_report_shares_the_envelope(self, tmp_path, command, capsys):
-        phi, dh, sig = tmp_path / "phi.mat", tmp_path / "dh.mat", tmp_path / "y.mat"
         report = tmp_path / "r.json"
-        run("gen", "--m", "4", "--M", "9", "--seed", "1", "--out", str(phi))
-        fr = frames.dirac_hadamard_frame(4)
-        cli.write_matrix(dh, fr.matrix)
-        cli.write_matrix(sig, fr.matrix[:, :1])
-        out = str(tmp_path / "out")
-        argv = {
-            "gen": ["--m", "3", "--M", "5", "--out", out],
-            "analyze": [str(phi)],
-            "precondition": [str(phi)],
-            "diag-lp": [str(phi)],
-            "tighten": [str(phi)],
-            "certify": [str(phi)],
-            "recover": [str(dh), str(sig)],
-            "phase": ["--M", "6", "--m-min", "3", "--m-max", "3", "--trials", "2", "--out", out],
-            "sweep": [str(phi), "--t2", "0.5", "--t1-max", "1.5", "--out", out],
-            "table": ["--M", "9", "--m-list", "3,4", "--trials", "2", "--out", out],
-        }[command]
-        assert run(command, *argv, "--report", str(report)) == 0
+        assert run(*_report_argv(tmp_path, command), "--report", str(report)) == 0
         doc = json.loads(report.read_text())
         assert set(doc) == {"config", "seed", "frame_stats", "result", "solver", "versions"}
         assert doc["config"]["command"] == command
         assert doc["seed"] == 0
+        assert "framecond" in doc["versions"]
+
+    @pytest.mark.parametrize("command", REPORT_COMMANDS)
+    def test_every_report_replays_its_run(self, tmp_path, command, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        code = run(*_report_argv(tmp_path, command), "--seed", "9", "--allow-inexact", "--report", str(first))
+        doc = json.loads(first.read_text())
+        assert doc["seed"] == 9 and doc["config"]["allow_inexact"] is True
+        assert run(*_replay_argv({**doc["config"], "report": str(second)})) == code
+        again = json.loads(second.read_text())
+        for block in ("result", "solver", "frame_stats"):
+            assert again[block] == doc[block]
+        assert set(again["config"]) == set(doc["config"])
+        assert {key for key, val in doc["config"].items() if again["config"][key] != val} == {"report"}

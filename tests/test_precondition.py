@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,14 @@ class TestSolveCoherence:
     def test_welch_floor_attained_for_equiangular(self, sign_pattern_frame):
         res = pc.solve_coherence(sign_pattern_frame, SET8)
         assert res.q == pytest.approx(frames.welch_bound(3, 4), abs=1e-5)
+
+    def test_jitter_is_a_field_not_a_warning(self):
+        # this frame's optimal X has a smallest eigenvalue below 1e-9
+        fr = frames.random_gaussian_frame(8, 16, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = pc.solve_coherence(fr, SET8)
+        assert res.jitter > 0.0
 
 
 class TestAdversarialSizes:
